@@ -40,7 +40,7 @@ from .buffers import VariableBuffer
 from .matches import Match, PartialMatch
 from .metrics import EngineMetrics
 from .negation import NegationChecker, PreparedSpec
-from .snapshot import EngineSnapshot, describe_partial_match
+from .snapshot import EngineSnapshot, describe_partial_match, replay
 
 SELECTION_ANY = "any"
 SELECTION_NEXT = "next"
@@ -276,11 +276,9 @@ class BaseEngine:
 
         Must be called on a freshly built engine.  Matches re-derived
         during the replay were already reported by the donor engine and
-        are suppressed (their metrics entries are rolled back); pending
+        are suppressed (:func:`~repro.engines.snapshot.replay`); pending
         matches are recreated with their original deadlines and released
-        by the normal mechanism.  Replay work (partial matches created,
-        predicate evaluations, index probes) stays in the metrics — it
-        is the real cost of the migration.
+        by the normal mechanism.
         """
         self._require_fresh("seed_from")
         if snapshot.window != self.window:
@@ -289,15 +287,7 @@ class BaseEngine:
                 f"engine window {self.window:g}"
             )
         self._consumed = set(snapshot.consumed)
-        metrics = self.metrics
-        emitted_before = len(metrics.latencies)
-        for event in snapshot.events:
-            self.process(event)
-        replayed = len(metrics.latencies) - emitted_before
-        metrics.matches_emitted -= replayed
-        del metrics.latencies[emitted_before:]
-        del metrics.wall_latencies[emitted_before:]
-        metrics.events_processed = 0
+        replay(self, snapshot.events, suppress=True)
 
     def seed_negation_state(self, snapshot: EngineSnapshot) -> None:
         """Pre-load the negation candidate buffers from a snapshot.
@@ -323,7 +313,7 @@ class BaseEngine:
 
         Delta routing uses this: retracting one of these events may
         *resurrect* matches it suppressed, which the incremental purge
-        below cannot re-derive — the disorder layer replays instead.
+        below cannot re-derive — the disorder layer re-derives instead.
         """
         return frozenset(
             spec.event_type for spec in self.decomposed.negations
@@ -337,8 +327,8 @@ class BaseEngine:
         variable, window, and negation candidate buffers, and kills
         pending matches built on it.  Exact for skip-till-any-match
         runs whose retracted event is not negation-relevant; the
-        disorder layer (:mod:`repro.streams.disorder`) routes every
-        other delta through its replay-swap path.  Already-reported
+        disorder layer (:mod:`repro.streams.disorder`) re-derives every
+        other delta over the window around it.  Already-reported
         matches are the caller's to retract — the engine keeps no
         emitted-match log.
         """

@@ -332,6 +332,11 @@ class DisjunctionEngine:
     def selection(self) -> str:
         return self.engines[0].selection
 
+    @property
+    def window(self) -> float:
+        """Largest disjunct window: how far one event's influence reaches."""
+        return max(engine.window for engine in self.engines)
+
     def negation_event_types(self) -> frozenset:
         types: frozenset = frozenset()
         for engine in self.engines:

@@ -179,8 +179,8 @@ INSTRUMENTS: Tuple[Instrument, ...] = (
         "retraction/update deltas applied to engine state",
         "disorder layer: ``Retraction``/``Update`` deltas\n"
         "applied to live engine state — incrementally\n"
-        "(transitive partial-match purge) or via the\n"
-        "replay-swap path",
+        "(transitive partial-match purge) or by bounded\n"
+        "re-derivation",
     ),
     Instrument(
         "matches_retracted", "counter", "matches_retracted", "disorder",

@@ -130,8 +130,8 @@ class NegationChecker:
         Removal alone cannot resurrect matches the candidate already
         suppressed — the engines rejected those at completion time — so
         the disorder layer (:mod:`repro.streams.disorder`) routes
-        retractions of negation-relevant events through its replay-swap
-        path and uses this only to keep the buffers consistent.
+        retractions of negation-relevant events through its bounded
+        re-derivation and uses this only to keep the buffers consistent.
         """
         for buffer in self._buffers.values():
             buffer.remove_seq(seq)

@@ -34,7 +34,7 @@ counts.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..events import Event
 from .matches import PartialMatch
@@ -54,6 +54,31 @@ def describe_partial_match(pm: PartialMatch) -> PMDescriptor:
         else:
             bound.append((variable, (value.seq,)))
     return tuple(bound), pm.trigger_seq
+
+
+def replay(engine, events: Iterable[Event], suppress: bool = False) -> List:
+    """Rebuild ``engine``'s state from a retained event log; return the
+    matches re-derived on the way.
+
+    The one replay primitive: plan migration and crash reseed
+    (:meth:`~repro.engines.base.BaseEngine.seed_from`) and the disorder
+    layer's window-bounded corrections all come through here.  With
+    ``suppress`` a donor already reported the matches: their metrics
+    entries are rolled back and ``events_processed`` zeroed.  The replay
+    *work* (partial matches, predicate evaluations, index probes) stays
+    either way — it is the real cost of the rebuild.
+    """
+    metrics = engine.metrics
+    reported = len(metrics.latencies)
+    matches: List = []
+    for event in events:
+        matches.extend(engine.process(event))
+    if suppress:
+        metrics.matches_emitted -= len(metrics.latencies) - reported
+        del metrics.latencies[reported:]
+        del metrics.wall_latencies[reported:]
+        metrics.events_processed = 0
+    return matches
 
 
 class EngineSnapshot:

@@ -839,6 +839,11 @@ class MultiQueryEngine:
         """Skip-till-any-match, always — the only supported strategy."""
         return "any"
 
+    @property
+    def window(self) -> float:
+        """Largest query window: how far one event's influence reaches."""
+        return max(state.window for state in self._states)
+
     def negation_event_types(self) -> frozenset:
         """Event types any query's negation specs forbid (delta routing)."""
         return frozenset(

@@ -17,7 +17,7 @@ This module restores the ordered-stream contract on top of both:
     ``events_late_dropped`` and skips it, ``"revise"`` hands it back to
     the caller for re-derivation (only :class:`DeltaEngine` implements
     that).  With ``max_delay=0`` the buffer degenerates to a
-    pass-through and the whole layer costs one heap push/pop per event.
+    pass-through: arrivals are released at once and nothing is held.
 
 ``DeltaEngine``
     Wraps an engine built by a zero-argument factory and keeps its
@@ -35,18 +35,30 @@ This module restores the ordered-stream contract on top of both:
       forbids can only *remove* matches under skip-till-any-match, so
       the engine state is surgically purged in place
       (:meth:`~repro.engines.base.BaseEngine.retract_seq`) and the
-      emitted-match log is filtered by membership;
-    * **replay-swap** — retractions of negation-relevant events (which
-      may *resurrect* suppressed matches), payload updates, and late
-      insertions re-derive: a fresh engine is fed the corrected log
-      (arrival numbers restamped to the log order) and the old and new
-      emitted sets are diffed.  Retired engines' metrics are folded in,
-      so replay work stays visible as honest correction cost.
+      reported matches binding the event are retracted;
+    * **bounded re-derivation** — retractions of negation-relevant
+      events (which may *resurrect* suppressed matches), payload
+      updates, and late insertions replay a slice of the corrected log
+      through a scratch engine and diff what it derives against what
+      was reported.  With ``W`` the engine's largest pattern window, a
+      correction at stream time ``t`` only touches matches that bind
+      the event or hold ``t`` in a negation range (``[max_ts − W,
+      min_ts + W]``): they lie in ``[t − W, t + W]`` and are decided by
+      events in ``[t − 2W, t + 2W]``.  The slice is ``[t − 3W, t + 3W]``
+      (the spare ``W`` keeps scratch-start artefacts and float rounding
+      out of the compared zone) and only matches binding an event in
+      ``[t − W, t + W]`` are diffed.  The scratch engine becomes the
+      live one only when the slice runs to the end of the log;
+      otherwise the live engine, all of whose state is younger than the
+      slice, is left alone.  Retired engines' metrics are folded in, so
+      replay work stays visible in ``events_processed`` as honest
+      correction cost — a function of the window, not of the stream.
 
-    Because arrival numbers are restamped on every replay, deltas
-    address events by a stable **uid** — the order in which the caller
-    handed them to :meth:`DeltaEngine.process` — and the emitted-match
-    log is keyed by uid sets, never by engine sequence numbers.
+    Deltas address events by a stable **uid** — the order in which the
+    caller handed them to :meth:`DeltaEngine.process` — and reported
+    matches are keyed by uid sets.  Engine sequence numbers follow the
+    log order and stay put; only a late insertion renumbers the log,
+    from its position on.
 
 Identity across runs is checked with seq-free canonical fingerprints
 (:func:`match_fingerprint`): the net match multiset of a disordered,
@@ -62,10 +74,12 @@ wrapper refuses rather than silently replaying everything.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from ..engines.metrics import EngineMetrics
+from ..engines.snapshot import replay
 from ..errors import ReproError
 from ..events import Event, StreamOrderError
 
@@ -82,18 +96,20 @@ class DisorderError(ReproError):
 
 @dataclass(frozen=True)
 class Retraction:
-    """Delete the event with arrival number ``seq`` from the stream."""
+    """Delete the event with uid ``seq`` from the stream — its zero-based
+    position among the events handed to :meth:`DeltaEngine.process`,
+    not an engine arrival number (reordering reassigns those)."""
 
     seq: int
 
 
 @dataclass(frozen=True)
 class Update:
-    """Replace the payload of the event with arrival number ``seq``.
+    """Replace the payload of the event with uid ``seq``.
 
     The event keeps its type and timestamp; only the attribute mapping
-    changes.  Updates always re-derive (replay-swap): a changed payload
-    can flip predicates in both directions.
+    changes.  Updates always re-derive over the window around the
+    event: a changed payload can flip predicates in both directions.
     """
 
     seq: int
@@ -138,8 +154,8 @@ def _event_fingerprint(event: Event) -> Tuple:
 def match_fingerprint(match) -> str:
     """Canonical identity of a match, independent of arrival numbers.
 
-    Replays restamp sequence numbers, so ``Match.key()`` (seq-based) is
-    unstable across corrections.  This fingerprint — pattern name plus,
+    Late insertions renumber sequence numbers, so ``Match.key()``
+    (seq-based) is unstable across corrections.  This fingerprint — pattern name plus,
     per variable, the bound events' ``(type, timestamp, sorted attrs)``
     with Kleene tuples expanded — survives restamping and is what the
     equivalence suites compare across ordered and disordered runs.
@@ -233,6 +249,10 @@ class DisorderBuffer:
         self.late_policy = late_policy
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self._heap: List[Tuple[float, int, Any]] = []
+        #: Held (hashable) items with multiplicity.  ``discard`` uncounts
+        #: one; its heap entry stays as a tombstone, skipped at release.
+        self._live: Dict[Any, int] = {}
+        self._dead = 0
         self._counter = 0
         self._max_ts: Optional[float] = None
 
@@ -244,7 +264,10 @@ class DisorderBuffer:
         return self._max_ts - self.max_delay
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) - self._dead
+
+    def __contains__(self, item: Any) -> bool:
+        return item in self._live
 
     def offer(self, ts: float, item: Any) -> OfferResult:
         """Admit one arrival; return what the new watermark releases."""
@@ -266,33 +289,39 @@ class DisorderBuffer:
             self.metrics.events_reordered += 1
         if self._max_ts is None or ts > self._max_ts:
             self._max_ts = ts
+        if not self.max_delay:  # pass-through: released at once, never held
+            return OfferResult([item], None, False)
         heapq.heappush(self._heap, (ts, self._counter, item))
+        self._live[item] = self._live.get(item, 0) + 1
         self._counter += 1
-        return OfferResult(self._drain(), None, False)
+        return OfferResult(self._release(self.watermark), None, False)
 
-    def _drain(self) -> List:
+    def _release(self, bound: float) -> List:
         released: List = []
-        watermark = self.watermark
-        while self._heap and self._heap[0][0] <= watermark:
-            released.append(heapq.heappop(self._heap)[2])
+        heap = self._heap
+        while heap and heap[0][0] <= bound:
+            item = heapq.heappop(heap)[2]
+            if self._forget(item):
+                released.append(item)
+            else:
+                self._dead -= 1
         return released
+
+    def _forget(self, item: Any) -> bool:
+        held = self._live.pop(item, 0)
+        if held > 1:
+            self._live[item] = held - 1
+        return held > 0
 
     def flush(self) -> List:
         """Release everything still held, in timestamp order (stream end)."""
-        released: List = []
-        while self._heap:
-            released.append(heapq.heappop(self._heap)[2])
-        return released
+        return self._release(float("inf"))
 
     def discard(self, item: Any) -> bool:
         """Remove a still-buffered item (retraction before release)."""
-        for i, (_, _, held) in enumerate(self._heap):
-            if held == item:
-                self._heap[i] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
-                return True
-        return False
+        found = self._forget(item)
+        self._dead += found
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +336,7 @@ class DeltaEngine:
     build_fn:
         Zero-argument factory returning a fresh engine (anything with
         the :class:`~repro.engines.base.BaseEngine` surface:
-        ``process`` / ``finalize`` / ``retract_seq`` /
+        ``process`` / ``finalize`` / ``retract_seq`` / ``window`` /
         ``negation_event_types`` / ``selection`` / ``metrics``) — a
         tree, NFA, disjunction or multi-query runtime.  Must be
         skip-till-any-match.
@@ -332,17 +361,23 @@ class DeltaEngine:
     ) -> None:
         self._build_fn = build_fn
         self._engine = self._fresh_engine()
+        self._window = float(self._engine.window)  # same every generation
+        self._negated = self._engine.negation_event_types()
         self._extra = EngineMetrics()
         self._buffer = DisorderBuffer(
             max_delay, late_policy=late_policy, metrics=self._extra
         )
-        self._log: List[int] = []  # uids, corrected (timestamp) order
-        self._event_by_uid: Dict[int, Event] = {}
+        #: The corrected stream, sorted: ties arrive in uid order, and a
+        #: late insertion (newest uid) lands after its equals.
+        self._log: List[Tuple[float, int]] = []  # (timestamp, uid)
+        self._event_by_uid: Dict[int, Event] = {}  # seq-stamped once admitted
         self._uid_by_seq: Dict[int, int] = {}
-        self._seq_by_uid: Dict[int, int] = {}
-        self._emitted: Dict[Tuple, Tuple[str, Any]] = {}
-        self._retired: List[EngineMetrics] = []
-        self._buffered: set = set()
+        self._emitted: Dict[Tuple, Tuple[int, Any]] = {}  # key -> (ordinal, match)
+        #: uid -> keys of matches binding it; retracted ones linger and
+        #: are filtered on lookup.
+        self._keys_by_uid: Dict[int, List[Tuple]] = {}
+        self._retired = EngineMetrics()
+        self._reports = 0
         self._next_uid = 0
         self._next_seq = 0
         self._finalized = False
@@ -370,7 +405,7 @@ class DeltaEngine:
 
     def net_fingerprints(self) -> List[str]:
         """Sorted canonical fingerprints of the net match set."""
-        return sorted(fp for fp, _ in self._emitted.values())
+        return sorted(match_fingerprint(m) for _, m in self._emitted.values())
 
     @property
     def metrics(self) -> EngineMetrics:
@@ -379,13 +414,14 @@ class DeltaEngine:
         Sequential-generation rule (peaks max, event counts add): replay
         work shows up in ``events_processed`` as honest correction cost.
         """
-        merged = EngineMetrics()
-        for retired in self._retired:
-            merged = merged.merge(retired, disjoint_streams=True, concurrent=False)
-        merged = merged.merge(
+        return self._retired.merge(
             self._engine.metrics, disjoint_streams=True, concurrent=False
+        ).merge(self._extra, disjoint_streams=True, concurrent=False)
+
+    def _retire(self, engine) -> None:
+        self._retired = self._retired.merge(
+            engine.metrics, disjoint_streams=True, concurrent=False
         )
-        return merged.merge(self._extra, disjoint_streams=True, concurrent=False)
 
     # -- ingestion -----------------------------------------------------------
     def process(self, item: Union[Event, Retraction, Update]) -> List:
@@ -414,7 +450,6 @@ class DeltaEngine:
         self._require_live()
         out: List = []
         for uid in self._buffer.flush():
-            self._buffered.discard(uid)
             out.extend(self._admit(uid))
         out.extend(self._emit(self._engine.finalize()))
         self._finalized = True
@@ -439,32 +474,51 @@ class DeltaEngine:
                 del self._event_by_uid[uid]
             else:
                 out.extend(self._insert_late(uid))
-        else:
-            self._buffered.add(uid)
         for released in result.released:
-            self._buffered.discard(released)
             out.extend(self._admit(released))
         return out
 
-    def _admit(self, uid: int) -> List:
-        seq = self._next_seq
-        self._next_seq += 1
-        stamped = self._event_by_uid[uid].with_seq(seq)
-        self._event_by_uid[uid] = stamped
+    def _stamp(self, uid: int, seq: int) -> Event:
+        event = self._event_by_uid[uid] = self._event_by_uid[uid].with_seq(seq)
         self._uid_by_seq[seq] = uid
-        self._seq_by_uid[uid] = seq
-        self._log.append(uid)
-        return self._emit(self._engine.process(stamped))
+        return event
 
-    def _emit(self, matches, cause: Optional[str] = None) -> List:
+    def _admit(self, uid: int) -> List:
+        event = self._stamp(uid, self._next_seq)
+        self._next_seq += 1
+        self._log.append((event.timestamp, uid))
+        return self._emit(self._engine.process(event))
+
+    def _emit(self, matches) -> List:
         out: List = []
         for match in matches:
             key = self._uid_key(match)
-            if key in self._emitted:
-                continue
-            self._emitted[key] = (match_fingerprint(match), match)
-            out.append(match if cause is None else MatchRevision(match, cause, key))
+            if key not in self._emitted:
+                self._report(key, match)
+                out.append(match)
         return out
+
+    def _report(self, key: Tuple, match) -> None:
+        self._emitted[key] = (self._reports, match)
+        self._reports += 1
+        for _, uids in key[1]:
+            for uid in uids:
+                self._keys_by_uid.setdefault(uid, []).append(key)
+
+    def _reported(self, uids) -> List[Tuple]:
+        """Keys of reported matches binding any of ``uids``, report order."""
+        keys = {
+            key
+            for uid in uids
+            for key in self._keys_by_uid.get(uid, ())
+            if key in self._emitted
+        }
+        return sorted(keys, key=self._emitted.__getitem__)
+
+    def _unreport(self, key: Tuple, cause: str) -> MatchRetraction:
+        match = self._emitted.pop(key)[1]
+        self._extra.matches_retracted += 1
+        return MatchRetraction(match_fingerprint(match), match.pattern_name, cause, key)
 
     def _uid_key(self, match) -> Tuple:
         parts = []
@@ -477,45 +531,32 @@ class DeltaEngine:
         return (match.pattern_name, tuple(parts))
 
     @staticmethod
-    def _key_contains(key: Tuple, uid: int) -> bool:
-        return any(uid in uids for _, uids in key[1])
+    def _binds(key: Tuple, uids) -> bool:
+        return any(uid in uids for _, bound in key[1] for uid in bound)
 
     # -- deltas --------------------------------------------------------------
     def _retract(self, uid: int) -> List:
         if uid not in self._event_by_uid:
             raise DisorderError(f"unknown or already-retracted event uid {uid}")
-        if uid in self._buffered:
-            self._buffer.discard(uid)
-            self._buffered.discard(uid)
-            del self._event_by_uid[uid]
+        event = self._event_by_uid.pop(uid)
+        if self._buffer.discard(uid):
             self._extra.retractions_processed += 1
             return []
-        if uid not in self._seq_by_uid:
-            # Defensive: every tracked uid is either buffered (handled
-            # above) or admitted to the log with a seq; surface anything
-            # else as a typed error, never a bare list.remove ValueError.
-            raise DisorderError(
-                f"unknown or never-admitted event uid {uid}"
-            )
-        event = self._event_by_uid[uid]
-        self._log.remove(uid)
-        if event.type in self._engine.negation_event_types():
+        at = bisect_left(self._log, (event.timestamp, uid))
+        if self._log[at:at + 1] != [(event.timestamp, uid)]:
+            # Defensive: a tracked uid is buffered (handled above) or in
+            # the log; never delete a neighbour in its place.
+            raise DisorderError(f"unknown or never-admitted event uid {uid}")
+        del self._log[at]
+        del self._uid_by_seq[event.seq]
+        if event.type in self._negated:
             # Removal may *resurrect* matches this event suppressed —
-            # only a replay over the corrected log re-derives those.
-            del self._event_by_uid[uid]
+            # only re-deriving the window around it finds those.
             self._extra.retractions_processed += 1
-            return self._replay_swap("retraction")
-        seq = self._seq_by_uid.pop(uid)
-        del self._uid_by_seq[seq]
-        del self._event_by_uid[uid]
-        self._engine.retract_seq(seq)  # counts retractions_processed
-        out: List = []
-        for key in [k for k in self._emitted if self._key_contains(k, uid)]:
-            fingerprint, match = self._emitted.pop(key)
-            out.append(
-                MatchRetraction(fingerprint, match.pattern_name, "retraction", key)
-            )
-        self._extra.matches_retracted += len(out)
+            return self._rederive(event.timestamp, uid, "retraction")
+        self._engine.retract_seq(event.seq)  # counts retractions_processed
+        out = [self._unreport(key, "retraction") for key in self._reported((uid,))]
+        self._keys_by_uid.pop(uid, None)
         return out
 
     def _update(self, uid: int, payload: Mapping[str, Any]) -> List:
@@ -526,53 +567,75 @@ class DeltaEngine:
         self._event_by_uid[uid] = Event(
             old.type, old.timestamp, payload, seq=old.seq, partition=old.partition
         )
-        if uid in self._buffered:
+        if uid in self._buffer:
             return []  # not yet fed anywhere; the new payload is admitted later
-        return self._replay_swap("update")
+        return self._rederive(old.timestamp, uid, "update")
 
     def _insert_late(self, uid: int) -> List:
-        event = self._event_by_uid[uid]
-        # Manual bisect_right over the uid log: the sort key (the held
-        # event's timestamp) lives in _event_by_uid, and bisect's key=
-        # parameter requires Python 3.10+ while we support 3.9.
-        lo, hi = 0, len(self._log)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if event.timestamp < self._event_by_uid[self._log[mid]].timestamp:
-                hi = mid
-            else:
-                lo = mid + 1
-        self._log.insert(lo, uid)
-        return self._replay_swap("late-event")
+        entry = (self._event_by_uid[uid].timestamp, uid)
+        at = bisect_left(self._log, entry)
+        # The newcomer takes the sequence number of the entry it
+        # displaces; only the log from there on is renumbered.
+        after = self._log[at:at + 1]
+        seq = self._event_by_uid[after[0][1]].seq if after else self._next_seq
+        self._log.insert(at, entry)
+        for seq, (_, moved) in enumerate(self._log[at:], seq):
+            self._stamp(moved, seq)
+        self._next_seq = seq + 1
+        return self._rederive(entry[0], uid, "late-event", renumbered=True)
 
-    def _replay_swap(self, cause: str) -> List:
-        """Re-derive from the corrected log on a fresh engine and diff."""
-        self._retired.append(self._engine.metrics)
+    def _slice(self, lo: float, hi: float) -> List[int]:
+        """Uids of the log entries with ``lo <= timestamp <= hi``."""
+        log = self._log
+        first = bisect_left(log, (lo,))
+        return [uid for _, uid in log[first:bisect_right(log, (hi, float("inf")))]]
+
+    def _replayed(self, lo: float, hi: float) -> Tuple[Any, List]:
+        """A fresh engine fed that slice, and the matches it derived."""
         engine = self._fresh_engine()
-        self._uid_by_seq = {}
-        self._seq_by_uid = {}
-        new_emitted: Dict[Tuple, Tuple[str, Any]] = {}
-        for seq, uid in enumerate(self._log):
-            stamped = self._event_by_uid[uid].with_seq(seq)
-            self._event_by_uid[uid] = stamped
-            self._uid_by_seq[seq] = uid
-            self._seq_by_uid[uid] = seq
-            for match in engine.process(stamped):
-                key = self._uid_key(match)
-                new_emitted.setdefault(key, (match_fingerprint(match), match))
-        self._next_seq = len(self._log)
-        out: List = []
-        for key, (fingerprint, match) in self._emitted.items():
-            if new_emitted.get(key, (None,))[0] != fingerprint:
-                # Gone, or kept by uid but revised in content (Update
-                # changes the payload without changing the uid set).
-                out.append(
-                    MatchRetraction(fingerprint, match.pattern_name, cause, key)
-                )
-        self._extra.matches_retracted += len(out)
-        for key, (fingerprint, match) in new_emitted.items():
-            if self._emitted.get(key, (None,))[0] != fingerprint:
+        events = map(self._event_by_uid.__getitem__, self._slice(lo, hi))
+        return engine, replay(engine, events)
+
+    def _rederive(
+        self, ts: float, uid: int, cause: str, renumbered: bool = False
+    ) -> List:
+        """Diff what a correction to event ``uid`` at stream time ``ts``
+        can touch against a scratch re-derivation (module docstring)."""
+        reach = 3 * self._window
+        last = self._log[-1][0] if self._log else ts
+        # A retracted tail event leaves `last` behind `ts`: start early
+        # enough that the scratch engine is a sound replacement.
+        scratch, derived = self._replayed(min(ts, last) - reach, ts + reach)
+        if last <= ts + reach:  # the slice runs to the end of the log
+            self._retire(self._engine)
+            self._engine = scratch
+        else:
+            # Closed slice: nothing after it reaches the compared zone.
+            derived.extend(scratch.finalize())
+            self._retire(scratch)
+            if renumbered:
+                # The live engine holds pre-insertion sequence numbers;
+                # rebuild it from the log's last windows.
+                self._retire(self._engine)
+                self._engine, _ = self._replayed(last - reach, last)
+        zone = {uid, *self._slice(ts - self._window, ts + self._window)}
+        new: Dict[Tuple, Any] = {}
+        for match in derived:
+            key = self._uid_key(match)
+            if self._binds(key, zone):
+                new.setdefault(key, match)
+        out: List = [
+            self._unreport(key, cause)
+            for key in self._reported(zone)
+            # Gone, or kept by uid but revised in content (only an
+            # Update changes a payload without changing the uid set).
+            if key not in new
+            or self._binds(key, (uid,))
+            and match_fingerprint(self._emitted[key][1])
+            != match_fingerprint(new[key])
+        ]
+        for key, match in new.items():
+            if key not in self._emitted:
+                self._report(key, match)
                 out.append(MatchRevision(match, cause, key))
-        self._emitted = new_emitted
-        self._engine = engine
         return out

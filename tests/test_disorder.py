@@ -9,6 +9,10 @@ tree via ZSTREAM), the shared multi-query engine, indexed and linear
 stores, compiled and interpreted predicates, and batch feeding; the
 delta tests check it for retractions (including negation resurrection),
 payload updates, and late events under the ``"revise"`` policy.
+
+Corrections are window-bounded; ``TestBoundedCorrections`` holds them to
+the whole-log replay they replaced (``tests/whole_log_oracle.py``),
+delta record by delta record, and pins their cost to the window.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from repro.multiquery import Workload
 from repro.multiquery.executor import MultiQueryEngine
 from repro.service import Ingestor
 from repro.stats import StatisticsCatalog, estimate_pattern_catalog
+from repro.streams.disorder import match_fingerprint
+
+from .whole_log_oracle import WholeLogDeltaEngine
 
 SEQ3 = "PATTERN SEQ(A a, B b, C c) WHERE a.x <= b.x AND b.x <= c.x WITHIN 1.0"
 NEG = "PATTERN SEQ(A a, NOT(B nb), C c) WITHIN 1.0"
@@ -50,11 +57,16 @@ WORKLOAD = (
 )
 
 
-def make_events(seed: int, count: int = 150, types: str = "ABC") -> list:
+def make_events(
+    seed: int, count: int = 150, types: str = "ABC", grid: float = 0.0
+) -> list:
+    """Seeded stream with random gaps — or, with ``grid``, three events
+    on every tick of that spacing, so equal timestamps (and events
+    exactly one and three windows apart) sit on slice and zone edges."""
     rng = random.Random(seed)
     events, t = [], 0.0
-    for _ in range(count):
-        t += rng.uniform(0.01, 0.09)
+    for i in range(count):
+        t = (i // 3) * grid if grid else t + rng.uniform(0.01, 0.09)
         events.append(Event(rng.choice(types), t, {"x": rng.randint(0, 5)}))
     return events
 
@@ -65,8 +77,8 @@ def planned_for(text: str, events: list, algorithm: str = "GREEDY"):
     return plan_pattern(pattern, catalog, algorithm=algorithm)
 
 
-def shared_plan_for(events: list):
-    workload = Workload(list(WORKLOAD))
+def shared_plan_for(events: list, queries=WORKLOAD):
+    workload = Workload(list(queries))
     catalogs = {
         name: StatisticsCatalog(
             {t: 1.0 for t in pattern.variable_types().values()}
@@ -403,6 +415,209 @@ class TestRetractionDeltas:
         out.extend(delta.process(Retraction(30)))
         out.extend(delta.finalize())
         assert net_fingerprints(out) == clean
+
+
+# ---------------------------------------------------------------------------
+# Window-bounded corrections ≡ whole-log replay, at window cost
+# ---------------------------------------------------------------------------
+
+BOUNDED_PATTERNS = {
+    "sequence": SEQ3,
+    "and": "PATTERN AND(A a, B b, C c) WHERE a.x < b.x AND b.x < c.x WITHIN 1.0",
+    "neg-leading": "PATTERN SEQ(NOT(B nb), A a, C c) WITHIN 1.0",
+    "neg-mid": NEG,
+    "neg-trailing": "PATTERN SEQ(A a, C c, NOT(B nb)) WITHIN 1.0",
+    "kleene": "PATTERN SEQ(A a, KL(B b), C c) WHERE a.x = c.x WITHIN 0.5",
+    "disjunction": (
+        "PATTERN OR(SEQ(A a, NOT(B nb), C c), SEQ(C d, B e)) "
+        "WHERE d.x = e.x WITHIN 1.0"
+    ),
+}
+#: Rides along in the multi-query DAG with a *smaller* window: the
+#: reach must come from the largest one.
+SIDE_QUERY = "PATTERN SEQ(A p, C q) WHERE p.x < q.x WITHIN 0.5"
+RUNTIMES = ("nfa", "tree", "dag")
+
+
+def bounded_build(name: str, runtime: str, events: list):
+    if runtime == "dag":
+        plan = shared_plan_for(events, (BOUNDED_PATTERNS[name], SIDE_QUERY))
+        return lambda: MultiQueryEngine(plan, max_kleene_size=3)
+    planned = planned_for(
+        BOUNDED_PATTERNS[name],
+        events,
+        "GREEDY" if runtime == "nfa" else "ZSTREAM",
+    )
+    return lambda: build_engines(planned, max_kleene_size=3)
+
+
+def record(item) -> tuple:
+    """Seq-free, comparable form of one ``DeltaEngine`` output."""
+    if isinstance(item, MatchRetraction):
+        return ("-", item.fingerprint, item.pattern_name, item.cause, item.uid_key)
+    if isinstance(item, MatchRevision):
+        return ("+", match_fingerprint(item.match), item.cause, item.uid_key)
+    return ("=", match_fingerprint(item))
+
+
+def aged_target(events: list, cut: int, age: float, type_name=None) -> int:
+    """Index below ``cut`` of the event nearest ``age`` stream-time
+    units behind ``events[cut - 1]`` (optionally of one type)."""
+    wanted = events[cut - 1].timestamp - age
+    return min(
+        (i for i in range(cut) if type_name in (None, events[i].type)),
+        key=lambda i: abs(events[i].timestamp - wanted),
+    )
+
+
+def one_delta_case(events: list, cut: int, target: int, kind: str):
+    """``(feed, delta item, corrected stream)`` for one correction of
+    ``events[target]`` issued after ``events[:cut]`` arrived in order."""
+    event = events[target]
+    if kind == "late":
+        # Held back, then handed over once the watermark has passed it;
+        # a late insertion lands after its equal-timestamp peers.
+        feed = events[:target] + events[target + 1:cut]
+        peers = [e for e in events if e.timestamp <= event.timestamp and e is not event]
+        rest = [e for e in events if e.timestamp > event.timestamp]
+        return feed, event, peers + [event] + rest
+    if kind == "retraction":
+        return events[:cut], Retraction(target), events[:target] + events[target + 1:]
+    payload = {"x": (event["x"] + 3) % 6}
+    corrected = list(events)
+    corrected[target] = Event(event.type, event.timestamp, payload)
+    return events[:cut], Update(target, payload), corrected
+
+
+class TestBoundedCorrections:
+    """A correction re-derives one window-bounded slice of the log; the
+    oracle replays all of it.  They must emit the same records."""
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("name", sorted(BOUNDED_PATTERNS))
+    @pytest.mark.parametrize("grid", (0.0, 0.25))
+    def test_single_delta_outputs_equal_the_whole_log_oracle(
+        self, name, runtime, grid
+    ):
+        events = make_events(len(name) + 3, 160, grid=grid)
+        build = bounded_build(name, runtime, events)
+        window = build().window
+        # Target age: inside the live window, one window old, far past
+        # (its whole slice closed long before the log's end).  The delta
+        # comes at the end of the stream or two thirds in, alternating —
+        # the two stream shapes cover both for every (age, kind).
+        cuts = (len(events), 2 * len(events) // 3)
+        for case, (age, kind) in enumerate(
+            (a * window, k)
+            for a in (0.3, 1.5, 5.0)
+            for k in ("retraction", "update", "late")
+        ):
+            cut = cuts[(case + bool(grid)) % 2]
+            # "B" is the negated type of every negation pattern here.
+            target = aged_target(
+                events, cut, age, "B" if kind == "retraction" else None
+            )
+            feed, item, corrected = one_delta_case(events, cut, target, kind)
+            runs = []
+            for engine_cls in (DeltaEngine, WholeLogDeltaEngine):
+                engine = engine_cls(build, late_policy="revise")
+                engine.process_batch(feed)
+                runs.append(
+                    (
+                        [record(o) for o in engine.process(item)],
+                        [record(o) for o in engine.process_batch(events[cut:])],
+                        [record(o) for o in engine.finalize()],
+                        engine.net_fingerprints(),
+                    )
+                )
+            where = f"{kind} of #{target}, age {age:g}, after {cut} events"
+            assert runs[0] == runs[1], where
+            assert runs[0][-1] == clean_run(build, corrected), where
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("name", sorted(BOUNDED_PATTERNS))
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_delta_sequences_equal_the_whole_log_oracle(
+        self, name, runtime, seed
+    ):
+        # Corrections pile up: late arrivals renumber the log, retracted
+        # matches come back, updates hit already-updated events.  After
+        # the first replay the oracle's report order is a clean run's
+        # while the bounded engine's is historical, so each delta's
+        # retraction and revision groups compare as multisets.
+        events = make_events(seed, 160, grid=0.1 if seed % 2 else 0.0)
+        build = bounded_build(name, runtime, events)
+        rng = random.Random(seed)
+        held = {i: i + rng.randint(5, 80) for i in rng.sample(range(len(events)), 6)}
+        items, uid_of, live = [], {}, []
+        for i, event in enumerate(events):
+            arriving = [j for j, due in held.items() if due == i]
+            for j in ([] if i in held else [i]) + arriving:
+                uid_of[j] = len(uid_of)
+                live.append(j)
+                items.append(events[j])
+            if live and rng.random() < 0.08:
+                j = rng.choice(live)
+                if rng.random() < 0.5:
+                    live.remove(j)
+                    items.append(Retraction(uid_of[j]))
+                else:
+                    items.append(Update(uid_of[j], {"x": rng.randint(0, 5)}))
+        assert sum(not isinstance(i, Event) for i in items) >= 5
+        runs = []
+        for engine_cls in (DeltaEngine, WholeLogDeltaEngine):
+            engine = engine_cls(build, late_policy="revise")
+            per_item = []
+            for item in items:
+                out = [record(o) for o in engine.process(item)]
+                signs = [r[0] for r in out]
+                assert signs == sorted(signs, key="-+=".index)
+                per_item.append(sorted(out))
+            per_item.append(sorted(record(o) for o in engine.finalize()))
+            runs.append((per_item, engine.net_fingerprints()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("kind", ("retraction", "update", "late"))
+    def test_correction_cost_is_flat_in_stream_length(self, runtime, kind):
+        # The same correction after the same recent history, once with
+        # 300 more events in front: the replay work it adds must not
+        # move, and must fit the log entries within its reach.
+        events = make_events(5, 600)
+        build = bounded_build("neg-mid", runtime, events)
+        reach = 3 * build().window
+        for age in (0.2, 6.0):  # recent target, old target
+            target = aged_target(
+                events, len(events), age, "B" if kind == "retraction" else None
+            )
+            ts = events[target].timestamp
+            assert ts - reach > events[300].timestamp  # slice clear of the prefix
+            costs = []
+            for start in (300, 0):
+                feed, item, _ = one_delta_case(
+                    events[start:], len(events) - start, target - start, kind
+                )
+                engine = DeltaEngine(build, late_policy="revise")
+                engine.process_batch(feed)
+                before = engine.metrics.events_processed
+                assert before == len(feed)
+                engine.process(item)
+                costs.append(engine.metrics.events_processed - before)
+            in_reach = sum(abs(e.timestamp - ts) <= reach for e in events)
+            tail = sum(e.timestamp >= events[-1].timestamp - reach for e in events)
+            # A far-past late arrival also rebuilds the live engine from
+            # the log's last windows (sequence numbers moved under it).
+            bound = in_reach + (tail if kind == "late" and age > 1 else 0)
+            assert 0 < costs[0] == costs[1] <= bound, (age, costs, bound)
+
+    def test_no_deltas_emits_the_bare_engines_matches_in_order(self):
+        events = make_events(17)
+        planned = planned_for(SEQ3, events)
+        bare = build_engines(planned).run(Stream(list(events)))
+        delta = DeltaEngine(lambda: build_engines(planned), late_policy="strict")
+        out = delta.run(events)
+        assert [record(m) for m in out] == [record(m) for m in bare]
+        assert delta.metrics.events_processed == len(events)
 
 
 # ---------------------------------------------------------------------------
