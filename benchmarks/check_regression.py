@@ -6,8 +6,9 @@ against the committed baselines in ``benchmarks/baselines/`` and fails
 (exit 1) when any throughput metric regresses by more than the
 tolerance (default 25%):
 
-* **ratio metrics** (``speedup*`` keys, ``session_reuse.speedup``) are
-  machine-independent and compared directly;
+* **ratio metrics** (``speedup*`` keys, ``session_reuse.speedup``,
+  fig17's ``normalized_cost``) are machine-independent and compared
+  directly;
 * **absolute metrics** (``events_per_s``; ``events / *_wall_s`` derived
   where a record carries both) depend on the host, so a fresh baseline
   belongs with any hardware change (``--update`` rewrites them).
@@ -20,8 +21,9 @@ reported informationally.  Full-scale runs gate every metric at the
 tolerance.
 
 Runs are paired by their configuration identity (mode/family/runtime/
-workers/...), so reordering records or adding new configurations never
-trips the gate — new runs are reported informationally.  A baseline
+workers/..., fig17's algorithm/size), so reordering records or adding
+new configurations never trips the gate — new runs are reported
+informationally.  A baseline
 and a result taken at different scales (``smoke`` flag mismatch) are
 incomparable and skipped with a warning.
 
@@ -67,7 +69,12 @@ IDENTITY_FIELDS = (
     "indexed",
     "partitioner",
     "backend",
+    "algorithm",
+    "size",
 )
+
+#: Machine-independent, higher-is-better metrics beside ``speedup*``.
+RATIO_METRICS = ("normalized_cost",)
 
 
 def run_key(record: dict) -> Tuple:
@@ -79,10 +86,16 @@ def run_key(record: dict) -> Tuple:
     )
 
 
+def _is_ratio(name: str) -> bool:
+    return name.startswith("speedup") or name in RATIO_METRICS
+
+
 def throughput_metrics(record: dict) -> Dict[str, float]:
     """Higher-is-better throughput metrics of one run record.
 
-    ``speedup*`` ratios come through as-is; ``events_per_s`` directly;
+    ``speedup*`` ratios and fig17's ``normalized_cost`` (EFREQ's plan
+    cost over the algorithm's) come through as-is; ``events_per_s``
+    directly; plan-generation seconds (``plan_s``) are recorded only;
     and every ``*_wall_s`` wall time in a record that also reports its
     ``events`` count is folded into an ``events_per_s[...]`` rate so
     wall-time-only benches (fig20/21/24) still gate on throughput.
@@ -92,7 +105,7 @@ def throughput_metrics(record: dict) -> Dict[str, float]:
     for name, value in record.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             continue
-        if name.startswith("speedup") or name == "events_per_s":
+        if _is_ratio(name) or name == "events_per_s":
             metrics[name] = float(value)
         elif name.endswith("_wall_s") and events and value > 0:
             metrics[f"events_per_s[{name[: -len('_wall_s')]}]"] = (
@@ -157,8 +170,7 @@ def compare(
                 continue
             if base_value <= 0:
                 continue
-            is_ratio = name.startswith("speedup")
-            if smoke and not is_ratio:
+            if smoke and not _is_ratio(name):
                 skipped_absolute += 1
                 continue
             bound = max(tolerance, SMOKE_RATIO_TOLERANCE) if smoke else tolerance

@@ -18,7 +18,7 @@ from typing import Optional
 
 from ..errors import StatisticsError
 from ..stats.catalog import PatternStatistics
-from .base import CostModel, VariableSet
+from .base import CostModel, PlanningView, VariableSet
 from .latency import LatencyCostModel
 from .throughput import ThroughputCostModel
 
@@ -69,9 +69,40 @@ class HybridCostModel(CostModel):
             cost += self.alpha * self.latency.combine_cost(left, right, stats)
         return cost
 
+    def _dense_view(self, variables, stats):
+        return HybridView(self, variables, stats)
+
     def __repr__(self) -> str:
         return (
             f"HybridCostModel(alpha={self.alpha:g}, "
             f"last={self.latency.last_variable!r}, "
             f"throughput={self.throughput!r})"
         )
+
+
+class HybridView(PlanningView):
+    """The component models' views, weighted the way the primitives are."""
+
+    def __init__(self, model, variables, stats):
+        super().__init__(model, variables, stats)
+        self.alpha = model.alpha
+        self.throughput = model.throughput.planning_view(variables, stats)
+        self.latency = model.latency.planning_view(variables, stats)
+
+    def leaf(self, i: int) -> float:
+        return self.throughput.leaf(i) + self.alpha * self.latency.leaf(i)
+
+    def step(self, mask: int, i: int) -> float:
+        latency = self.latency.step(mask, i)
+        return self.throughput.step(mask, i) + self.alpha * latency
+
+    def combine(self, lmask: int, rmask: int) -> float:
+        latency = self.latency.combine(lmask, rmask)
+        return self.throughput.combine(lmask, rmask) + self.alpha * latency
+
+    def order_trail(self, order, trail=None, start=0):
+        first = self.throughput.order_trail(
+            order, trail and trail[0][1], start
+        )
+        second = self.latency.order_trail(order, trail and trail[0][2], start)
+        return [(first[-1][0] + self.alpha * second[-1][0], first, second)]

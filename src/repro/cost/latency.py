@@ -26,7 +26,7 @@ from ..errors import StatisticsError
 from ..patterns.transformations import DecomposedPattern
 from ..stats.catalog import PatternStatistics
 from .base import CostModel, VariableSet
-from .throughput import subset_partial_matches
+from .throughput import PartialMatchView, canonical, subset_partial_matches
 
 
 class LatencyCostModel(CostModel):
@@ -66,13 +66,48 @@ class LatencyCostModel(CostModel):
             return _node_pm(left, stats)
         return 0.0
 
+    def _dense_view(self, variables, stats):
+        return LatencyView(self, variables, stats)
+
     def __repr__(self) -> str:
         return f"LatencyCostModel(last={self.last_variable!r})"
 
 
 def _node_pm(variables: VariableSet, stats: PatternStatistics) -> float:
     """PM buffered at the node covering ``variables`` (leaf: W·r)."""
-    return subset_partial_matches(tuple(variables), stats)
+    return subset_partial_matches(canonical(variables, stats), stats)
+
+
+class LatencyView(PartialMatchView):
+    """Dense ``Cost_lat``: ``last`` is the bit of ``T_n`` (0 if absent)."""
+
+    def __init__(self, model, variables, stats):
+        super().__init__(model, variables, stats)
+        self.last = sum(
+            1 << i for i, v in enumerate(variables) if v == model.last_variable
+        )
+
+    def leaf(self, i: int) -> float:
+        return 0.0
+
+    def step(self, mask: int, i: int) -> float:
+        return self.wr[i] if mask & self.last else 0.0
+
+    def combine(self, lmask: int, rmask: int) -> float:
+        if lmask & self.last:
+            return self.subset(rmask)
+        if rmask & self.last:
+            return self.subset(lmask)
+        return 0.0
+
+    def order_trail(self, order, trail=None, start=0):
+        states = trail[:start + 1] if trail else [(0.0, 0)]
+        total, mask = states[-1]
+        for variable in order[start:]:
+            total += self.step(mask, variable)
+            mask |= 1 << variable
+            states.append((total, mask))
+        return states
 
 
 def latency_model_for(

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..stats.catalog import PatternStatistics
-from .base import CostModel, VariableSet
+from .base import CostModel, DenseView, VariableSet
+from .throughput import canonical
 
 
 def subset_next_matches(
@@ -29,12 +30,52 @@ def subset_next_matches(
 ) -> float:
     """m(S): expected skip-till-next partial matches over variable set S."""
     names = tuple(variables)
-    minimum_rate = min(stats.rate(v) for v in names)
-    value = stats.window * minimum_rate
+    product = 1.0
     for i, var in enumerate(names):
         for other in names[:i]:
-            value *= stats.selectivity(other, var)
-    return value
+            product *= stats.selectivity(other, var)
+    return stats.window * min(stats.rate(v) for v in names) * product
+
+
+class NextMatchView(DenseView):
+    """Dense ``Cost_next``: ``subset(mask)`` is (Π sel, min rate)."""
+
+    empty = (1.0, float("inf"))
+
+    def extend(self, estimate: tuple, mask: int, i: int) -> tuple:
+        product, slowest = estimate
+        return (
+            self.selectivity_product(product, mask, i),
+            min(slowest, self.rate[i]),
+        )
+
+    def _next_matches(self, mask: int) -> float:
+        product, slowest = self.subset(mask)
+        return self.window * slowest * product
+
+    def leaf(self, i: int) -> float:
+        return self.wr[i]
+
+    def step(self, mask: int, i: int) -> float:
+        return self.window * self._next_matches(mask | 1 << i)
+
+    def combine(self, lmask: int, rmask: int) -> float:
+        return self._next_matches(lmask | rmask)
+
+    def order_trail(self, order, trail=None, start=0):
+        # The arithmetic of ``NextMatchCostModel.order_cost``, resumable.
+        states = trail[:start + 1] if trail else [(0.0,) + self.empty]
+        total, product, slowest = states[-1]
+        window, rate, sel = self.window, self.rate, self.sel
+        for position in range(start, len(order)):
+            variable = order[position]
+            row = sel[variable]
+            for other in order[:position]:
+                product *= row[other]
+            slowest = min(slowest, rate[variable])
+            total += window * (window * slowest * product)
+            states.append((total, product, slowest))
+        return states
 
 
 class NextMatchCostModel(CostModel):
@@ -45,7 +86,7 @@ class NextMatchCostModel(CostModel):
     def order_step_cost(
         self, prefix: VariableSet, variable: str, stats: PatternStatistics
     ) -> float:
-        subset = tuple(prefix) + (variable,)
+        subset = canonical([*prefix, variable], stats)
         return stats.window * subset_next_matches(subset, stats)
 
     def order_cost(
@@ -73,4 +114,7 @@ class NextMatchCostModel(CostModel):
         right: VariableSet,
         stats: PatternStatistics,
     ) -> float:
-        return subset_next_matches(tuple(left) + tuple(right), stats)
+        return subset_next_matches(canonical([*left, *right], stats), stats)
+
+    def _dense_view(self, variables, stats):
+        return NextMatchView(self, variables, stats)

@@ -21,7 +21,15 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..stats.catalog import PatternStatistics
-from .base import CostModel, VariableSet
+from .base import CostModel, DenseView, VariableSet
+
+
+def canonical(
+    variables: Iterable[str], stats: PatternStatistics
+) -> list[str]:
+    """``variables`` in pattern order — the order set-keyed prices
+    multiply in, so they never depend on ``frozenset`` iteration order."""
+    return sorted(variables, key=stats.variables.index)
 
 
 def subset_partial_matches(
@@ -64,6 +72,38 @@ def prefix_partial_matches(
     return values
 
 
+class PartialMatchView(DenseView):
+    """Dense ``Cost_ord`` / ``Cost_tree``: ``subset(mask)`` is PM(mask)."""
+
+    def extend(self, pm: float, mask: int, i: int) -> float:
+        return self.selectivity_product(pm * self.wr[i], mask, i)
+
+    def leaf(self, i: int) -> float:
+        return self.wr[i]
+
+    def step(self, mask: int, i: int) -> float:
+        return self.subset(mask | 1 << i)
+
+    def combine(self, lmask: int, rmask: int) -> float:
+        return self.subset(lmask | rmask)
+
+    def order_trail(self, order, trail=None, start=0):
+        # Same multiplications, in the same order, as
+        # ``prefix_partial_matches``: resumed costs are bit-identical.
+        states = trail[:start + 1] if trail else [(0.0, 1.0)]
+        total, pm = states[-1]
+        window, rate, sel = self.window, self.rate, self.sel
+        for position in range(start, len(order)):
+            variable = order[position]
+            pm = pm * window * rate[variable]
+            row = sel[variable]
+            for other in order[:position]:
+                pm *= row[other]
+            total += pm
+            states.append((total, pm))
+        return states
+
+
 class ThroughputCostModel(CostModel):
     """``Cost_ord`` / ``Cost_tree`` — the paper's primary cost functions."""
 
@@ -72,7 +112,9 @@ class ThroughputCostModel(CostModel):
     def order_step_cost(
         self, prefix: VariableSet, variable: str, stats: PatternStatistics
     ) -> float:
-        return subset_partial_matches(tuple(prefix) + (variable,), stats)
+        return subset_partial_matches(
+            canonical([*prefix, variable], stats), stats
+        )
 
     def order_cost(
         self, order: Sequence[str], stats: PatternStatistics
@@ -89,13 +131,7 @@ class ThroughputCostModel(CostModel):
         right: VariableSet,
         stats: PatternStatistics,
     ) -> float:
-        return subset_partial_matches(tuple(left) + tuple(right), stats)
+        return subset_partial_matches(canonical([*left, *right], stats), stats)
 
-    def node_partial_matches(
-        self, variables: Iterable[str], stats: PatternStatistics
-    ) -> float:
-        """PM at a tree node buffering ``variables`` (used by latency)."""
-        names = tuple(variables)
-        if len(names) == 1:
-            return self.leaf_cost(names[0], stats)
-        return subset_partial_matches(names, stats)
+    def _dense_view(self, variables, stats):
+        return PartialMatchView(self, variables, stats)

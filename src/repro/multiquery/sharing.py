@@ -373,7 +373,8 @@ class SharedPlanOptimizer:
         existing = registry.get(fingerprint)
         if existing is not None and self.sharing:
             if self.share_filter is None or self.share_filter(
-                existing, query, self._subtree_cost(tree_node, stats)
+                existing, query,
+                self.cost_model.tree_cost(TreePlan(tree_node), stats),
             ):
                 existing.queries.append(query)
                 report.reuse_count += 1
@@ -404,8 +405,8 @@ class SharedPlanOptimizer:
             # variables: that correspondence is the edge renaming.
             left_map = dict(zip(left.canonical_order, left_order))
             right_map = dict(zip(right.canonical_order, right_order))
-            left_vars = set(tree_node.left.leaf_variables)
-            right_vars = set(tree_node.right.leaf_variables)
+            left_vars = frozenset(tree_node.left.leaf_variables)
+            right_vars = frozenset(tree_node.right.leaf_variables)
             cross = tuple(
                 p
                 for p in decomposed.conditions
@@ -429,7 +430,7 @@ class SharedPlanOptimizer:
             left.parents.append((node, "left"))
             right.parents.append((node, "right"))
             report.shared_cost += self.cost_model.combine_cost(
-                frozenset(left_vars), frozenset(right_vars), stats
+                left_vars, right_vars, stats
             )
         node.queries.append(query)
         nodes.append(node)
@@ -438,16 +439,3 @@ class SharedPlanOptimizer:
         # twice, so later queries keep merging with the original).
         registry.setdefault(fingerprint, node)
         return node, order
-
-    def _subtree_cost(self, tree_node: TreeNode, stats: PatternStatistics) -> float:
-        total = 0.0
-        for node in tree_node.nodes_postorder():
-            if node.is_leaf:
-                total += self.cost_model.leaf_cost(node.variable, stats)
-            else:
-                total += self.cost_model.combine_cost(
-                    frozenset(node.left.leaf_variables),
-                    frozenset(node.right.leaf_variables),
-                    stats,
-                )
-        return total

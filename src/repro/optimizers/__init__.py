@@ -1,7 +1,7 @@
 """Plan-generation algorithms: CEP-native and JQPG-adapted."""
 
 from .annealing import SimulatedAnnealingOrder
-from .base import PlanGenerator, connectivity_edges, default_cost_model
+from .base import PlanGenerator, default_cost_model
 from .dynamic_programming import DPBushy, DPLeftDeep
 from .greedy import GreedyOrder
 from .iterative_improvement import (
@@ -32,7 +32,6 @@ from .zstream import ZStreamOrderedTree, ZStreamTree, best_tree_for_leaf_order
 __all__ = [
     "SimulatedAnnealingOrder",
     "PlanGenerator",
-    "connectivity_edges",
     "default_cost_model",
     "DPBushy",
     "DPLeftDeep",

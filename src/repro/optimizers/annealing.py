@@ -21,7 +21,8 @@ from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from ..stats.catalog import PatternStatistics
 from .base import ORDER, PlanGenerator
-from .greedy import GreedyOrder
+from .greedy import greedy_order
+from .iterative_improvement import Move, apply_move
 
 
 class SimulatedAnnealingOrder(PlanGenerator):
@@ -56,51 +57,41 @@ class SimulatedAnnealingOrder(PlanGenerator):
         stats: PatternStatistics,
         cost_model: CostModel,
     ) -> OrderPlan:
-        variables = self._check_input(decomposed, stats)
+        view = self._planning_view(decomposed, stats, cost_model)
+        if view.n < 2:
+            return OrderPlan(view.variables)
         rng = random.Random(self.seed)
         if self.greedy_start:
-            current = list(
-                GreedyOrder().generate(decomposed, stats, cost_model).variables
-            )
+            current = greedy_order(view)
         else:
-            current = list(variables)
+            current = list(range(view.n))
             rng.shuffle(current)
-        current_cost = cost_model.order_cost(current, stats)
-        best = tuple(current)
-        best_cost = current_cost
+        trail = view.order_trail(current)
+        best, best_cost = current, trail[-1][0]
 
         temperature = self.initial_temperature
         while temperature > self.minimum_temperature:
             for _ in range(self.steps_per_temperature):
-                candidate = self._random_neighbor(current, rng)
-                cost = cost_model.order_cost(candidate, stats)
+                move = self._random_move(view.n, rng)
+                candidate = apply_move(current, move)
+                priced = view.order_trail(candidate, trail, min(move[0]))
+                cost, current_cost = priced[-1][0], trail[-1][0]
                 delta = cost - current_cost
                 # Scale-free acceptance: relative degradation vs. temperature.
                 relative = delta / max(current_cost, 1e-300)
                 if delta <= 0 or rng.random() < math.exp(
                     -relative / temperature
                 ):
-                    current = list(candidate)
-                    current_cost = cost
+                    current, trail = candidate, priced
                     if cost < best_cost:
-                        best, best_cost = tuple(candidate), cost
+                        best, best_cost = candidate, cost
             temperature *= self.cooling
-        return OrderPlan(best)
+        return OrderPlan([view.variables[i] for i in best])
 
     @staticmethod
-    def _random_neighbor(
-        order: list[str], rng: random.Random
-    ) -> tuple[str, ...]:
-        neighbor = list(order)
-        n = len(neighbor)
+    def _random_move(n: int, rng: random.Random) -> Move:
         if n >= 3 and rng.random() < 0.5:
             i, j, k = rng.sample(range(n), 3)
-            neighbor[i], neighbor[j], neighbor[k] = (
-                neighbor[k],
-                neighbor[i],
-                neighbor[j],
-            )
-        elif n >= 2:
-            i, j = rng.sample(range(n), 2)
-            neighbor[i], neighbor[j] = neighbor[j], neighbor[i]
-        return tuple(neighbor)
+            return (i, j, k), (k, i, j)
+        i, j = rng.sample(range(n), 2)
+        return (i, j), (j, i)

@@ -6,13 +6,17 @@ Every algorithm of Section 7.1 — CEP-native or JQPG-adapted — implements
 cost model, return an evaluation plan over the pattern's positive
 variables.  ``kind`` says whether the result is an
 :class:`~repro.plans.OrderPlan` or a :class:`~repro.plans.TreePlan`.
+
+Cost-based generators price every candidate through the cost model's
+:class:`~repro.cost.base.PlanningView` (variables as indices, variable
+sets as bitmasks) — the one pricing path inside this package.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from ..cost.base import CostModel
+from ..cost.base import CostModel, PlanningView
 from ..cost.throughput import ThroughputCostModel
 from ..errors import OptimizerError
 from ..patterns.transformations import DecomposedPattern
@@ -53,6 +57,17 @@ class PlanGenerator:
             raise OptimizerError(f"statistics missing variables {missing}")
         return variables
 
+    def _planning_view(
+        self,
+        decomposed: DecomposedPattern,
+        stats: PatternStatistics,
+        cost_model: CostModel,
+    ) -> PlanningView:
+        """Check the input and resolve it once for ``cost_model``."""
+        return cost_model.planning_view(
+            self._check_input(decomposed, stats), stats
+        )
+
     def plan_cost(
         self,
         plan: Plan,
@@ -71,19 +86,3 @@ class PlanGenerator:
 def default_cost_model() -> CostModel:
     """The paper's default objective: intermediate partial matches."""
     return ThroughputCostModel()
-
-
-def connectivity_edges(
-    variables: tuple[str, ...], stats: PatternStatistics
-) -> set[frozenset]:
-    """Query-graph edges: variable pairs with a (selectivity < 1) predicate.
-
-    Used by the ``allow_cartesian=False`` DP variants (Section 4.3) and by
-    the KBZ algorithm, which requires an acyclic query graph.
-    """
-    edges: set[frozenset] = set()
-    for i, var_a in enumerate(variables):
-        for var_b in variables[i + 1:]:
-            if stats.selectivity(var_a, var_b) < 1.0:
-                edges.add(frozenset((var_a, var_b)))
-    return edges

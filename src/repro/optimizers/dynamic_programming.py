@@ -11,6 +11,10 @@
   ``cost(S) = min over partitions S = L ∪ R of
   cost(L) + cost(R) + combine(L, R)``; O(3^n) combine evaluations.
 
+Both run over ``range(1 << n)`` with variable sets as bitmasks, price
+every candidate through the cost model's planning view, record *choices*
+as ints and build the plan once at the end.
+
 Both accept ``allow_cartesian=False`` to restrict the search to plans
 without cross products (the classical relational restriction discussed in
 Section 4.3); steps/combinations are then required to be connected in the
@@ -21,15 +25,43 @@ miss cheaper plans [38].
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Optional
+from typing import Sequence
 
 from ..cost.base import CostModel
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from ..plans.tree_plan import TreeNode, TreePlan, leaf
 from ..stats.catalog import PatternStatistics
-from .base import ORDER, TREE, PlanGenerator, connectivity_edges
+from .base import ORDER, TREE, PlanGenerator
+
+INFINITY = float("inf")
+
+
+def _connected_sets(adjacent: Sequence[int]) -> bytearray:
+    """Per variable set: is it a connected subgraph of the query graph
+    (the empty set counts as one)?
+
+    With cross products disabled, a connected set is only ever built from
+    connected parts — its last step extends a connected prefix, its split
+    joins two connected halves (a predicate then necessarily spans them,
+    and such a step / split always exists).  A disconnected set cannot
+    avoid a cross product, so every way of building it stays open.
+    """
+    size = 1 << len(adjacent)
+    connected = bytearray(size)
+    connected[0] = 1
+    reach = [0] * size  # variables a predicate links to the set
+    for mask in range(1, size):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | adjacent[low.bit_length() - 1]
+        seen = low
+        while True:  # flood fill from the lowest variable
+            grown = seen | reach[seen] & mask
+            if grown == seen:
+                break
+            seen = grown
+        connected[mask] = seen == mask
+    return connected
 
 
 class DPLeftDeep(PlanGenerator):
@@ -47,80 +79,38 @@ class DPLeftDeep(PlanGenerator):
         stats: PatternStatistics,
         cost_model: CostModel,
     ) -> OrderPlan:
-        variables = self._check_input(decomposed, stats)
-        edges = (
-            None
-            if self.allow_cartesian
-            else connectivity_edges(variables, stats)
+        view = self._planning_view(decomposed, stats, cost_model)
+        step = view.step
+        size = 1 << view.n
+        connected = (
+            None if self.allow_cartesian else _connected_sets(view.adjacent)
         )
-        # best[S] = (cost, last_variable) for the cheapest order of set S.
-        best: dict[frozenset, tuple[float, Optional[str]]] = {
-            frozenset(): (0.0, None)
-        }
-        # Connected-subset table for the cross-product-free restriction:
-        # a prefix is admissible iff it is connected in the query graph.
-        connected: set[frozenset] = {
-            frozenset((v,)) for v in variables
-        }
-        for size in range(1, len(variables) + 1):
-            for subset_vars in combinations(variables, size):
-                subset = frozenset(subset_vars)
-                candidates = self._last_candidates(subset, edges, connected)
-                if edges is not None and size > 1:
-                    if any(
-                        subset - {v} in connected
-                        and self._adjacent(v, subset - {v}, edges)
-                        for v in subset
-                    ):
-                        connected.add(subset)
-                best_cost = float("inf")
-                best_last: Optional[str] = None
-                for last in candidates:
-                    previous = subset - {last}
-                    prev_cost, _ = best[previous]
-                    cost = prev_cost + cost_model.order_step_cost(
-                        previous, last, stats
-                    )
-                    if cost < best_cost or (
-                        cost == best_cost
-                        and (best_last is None or last < best_last)
-                    ):
-                        best_cost, best_last = cost, last
-                best[subset] = (best_cost, best_last)
+        best = [0.0] * size  # cost of the cheapest order of each set
+        last = [0] * size  # ... and the variable that order ends with
+        for mask in range(1, size):
+            tight = connected is not None and connected[mask]
+            # (the lowest variable stands in when no price is finite)
+            cost, last[mask] = INFINITY, (mask & -mask).bit_length() - 1
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                prefix = mask ^ low
+                if tight and not connected[prefix]:
+                    continue
+                variable = low.bit_length() - 1
+                price = best[prefix] + step(prefix, variable)
+                if price < cost:
+                    cost, last[mask] = price, variable
+            best[mask] = cost
 
         order: list[str] = []
-        subset = frozenset(variables)
-        while subset:
-            _, last = best[subset]
-            assert last is not None
-            order.append(last)
-            subset = subset - {last}
+        mask = size - 1
+        while mask:
+            order.append(view.variables[last[mask]])
+            mask ^= 1 << last[mask]
         order.reverse()
         return OrderPlan(order)
-
-    @staticmethod
-    def _adjacent(variable: str, group: frozenset, edges: set) -> bool:
-        return any(frozenset((variable, u)) in edges for u in group)
-
-    def _last_candidates(
-        self,
-        subset: frozenset,
-        edges: Optional[set],
-        connected: set,
-    ) -> list[str]:
-        members = sorted(subset)
-        if edges is None or len(subset) == 1:
-            return members
-        strict = [
-            v
-            for v in members
-            if subset - {v} in connected
-            and self._adjacent(v, subset - {v}, edges)
-        ]
-        # When no cross-product-free construction exists (disconnected
-        # query graph), a cross product is unavoidable; fall back to all
-        # members to stay complete.
-        return strict or members
 
 
 class DPBushy(PlanGenerator):
@@ -138,106 +128,38 @@ class DPBushy(PlanGenerator):
         stats: PatternStatistics,
         cost_model: CostModel,
     ) -> TreePlan:
-        variables = self._check_input(decomposed, stats)
-        edges = (
-            None
-            if self.allow_cartesian
-            else connectivity_edges(variables, stats)
+        view = self._planning_view(decomposed, stats, cost_model)
+        combine = view.combine
+        size = 1 << view.n
+        connected = (
+            None if self.allow_cartesian else _connected_sets(view.adjacent)
         )
-        connected = self._connected_subsets(variables, edges)
-        best: dict[frozenset, tuple[float, TreeNode]] = {}
-        for variable in variables:
-            node = leaf(variable)
-            best[frozenset((variable,))] = (
-                cost_model.leaf_cost(variable, stats),
-                node,
-            )
+        best = [0.0] * size  # cost of the cheapest tree over each set
+        split = [0] * size  # ... and its right half (0: a leaf)
+        for i in range(view.n):
+            best[1 << i] = view.leaf(i)
+        for mask in range(3, size):
+            # The lowest variable is pinned to the left half, so each
+            # unordered partition is produced exactly once.
+            rest = mask & (mask - 1)
+            if not rest:
+                continue
+            tight = connected is not None and connected[mask]
+            cost, split[mask] = INFINITY, rest  # kept if no price is finite
+            right = rest
+            while right:
+                left = mask ^ right
+                if not tight or (connected[left] and connected[right]):
+                    price = best[left] + best[right] + combine(left, right)
+                    if price < cost:
+                        cost, split[mask] = price, right
+                right = (right - 1) & rest
+            best[mask] = cost
 
-        for size in range(2, len(variables) + 1):
-            for subset_vars in combinations(variables, size):
-                subset = frozenset(subset_vars)
-                best_cost = float("inf")
-                best_node: Optional[TreeNode] = None
-                splits = list(self._splits(subset_vars, edges, connected))
-                for left_set, right_set in splits:
-                    left_cost, left_node = best[left_set]
-                    right_cost, right_node = best[right_set]
-                    cost = (
-                        left_cost
-                        + right_cost
-                        + cost_model.combine_cost(left_set, right_set, stats)
-                    )
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_node = TreeNode(left=left_node, right=right_node)
-                assert best_node is not None
-                best[subset] = (best_cost, best_node)
+        def build(mask: int) -> TreeNode:
+            right = split[mask]
+            if not right:
+                return leaf(view.variables[mask.bit_length() - 1])
+            return TreeNode(left=build(mask ^ right), right=build(right))
 
-        _, root = best[frozenset(variables)]
-        return TreePlan(root)
-
-    @staticmethod
-    def _connected_subsets(
-        variables: tuple[str, ...], edges: Optional[set]
-    ) -> Optional[set]:
-        """All connected variable subsets (None when cartesians allowed)."""
-        if edges is None:
-            return None
-        connected: set[frozenset] = {frozenset((v,)) for v in variables}
-        for size in range(2, len(variables) + 1):
-            for subset_vars in combinations(variables, size):
-                subset = frozenset(subset_vars)
-                if any(
-                    subset - {v} in connected
-                    and any(
-                        frozenset((v, u)) in edges for u in subset if u != v
-                    )
-                    for v in subset
-                ):
-                    connected.add(subset)
-        return connected
-
-    def _splits(
-        self,
-        subset_vars: tuple[str, ...],
-        edges: Optional[set],
-        connected: Optional[set],
-    ):
-        """Unordered partitions of the subset into two non-empty halves.
-
-        The first variable is pinned to the left half so each partition is
-        produced exactly once.  With cross products disabled, both halves
-        must be connected subgraphs and at least one predicate must span
-        them; when no such partition exists (disconnected query graph) all
-        partitions are considered so the DP stays complete.
-        """
-        anchor, rest = subset_vars[0], subset_vars[1:]
-        partitions: list[tuple[frozenset, frozenset]] = []
-        admissible: list[tuple[frozenset, frozenset]] = []
-        for mask in range(len(rest) + 1):
-            for right_vars in combinations(rest, mask):
-                if not right_vars:
-                    continue
-                right_set = frozenset(right_vars)
-                left_set = frozenset(subset_vars) - right_set
-                pair = (left_set, right_set)
-                partitions.append(pair)
-                if (
-                    edges is not None
-                    and connected is not None
-                    and left_set in connected
-                    and right_set in connected
-                    and self._cross_connected(left_set, right_set, edges)
-                ):
-                    admissible.append(pair)
-        if edges is None:
-            return partitions
-        return admissible or partitions
-
-    @staticmethod
-    def _cross_connected(
-        left_set: frozenset, right_set: frozenset, edges: set
-    ) -> bool:
-        return any(
-            frozenset((a, b)) in edges for a in left_set for b in right_set
-        )
+        return TreePlan(build(size - 1))

@@ -11,11 +11,24 @@ trade-off between optimization time and quality" (Section 7.3).
 
 from __future__ import annotations
 
-from ..cost.base import CostModel
+from ..cost.base import CostModel, PlanningView
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from ..stats.catalog import PatternStatistics
 from .base import ORDER, PlanGenerator
+
+
+def greedy_order(view: PlanningView) -> list[int]:
+    """The GREEDY order as variable indices (ties: lowest index)."""
+    remaining = list(range(view.n))
+    chosen: list[int] = []
+    prefix = 0
+    while remaining:
+        best = min(remaining, key=lambda i: view.step(prefix, i))
+        remaining.remove(best)
+        chosen.append(best)
+        prefix |= 1 << best
+    return chosen
 
 
 class GreedyOrder(PlanGenerator):
@@ -30,20 +43,5 @@ class GreedyOrder(PlanGenerator):
         stats: PatternStatistics,
         cost_model: CostModel,
     ) -> OrderPlan:
-        variables = self._check_input(decomposed, stats)
-        position = {v: i for i, v in enumerate(variables)}
-        remaining = list(variables)
-        prefix: frozenset = frozenset()
-        chosen: list[str] = []
-        while remaining:
-            best = min(
-                remaining,
-                key=lambda v: (
-                    cost_model.order_step_cost(prefix, v, stats),
-                    position[v],
-                ),
-            )
-            remaining.remove(best)
-            chosen.append(best)
-            prefix = prefix | {best}
-        return OrderPlan(chosen)
+        view = self._planning_view(decomposed, stats, cost_model)
+        return OrderPlan([view.variables[i] for i in greedy_order(view)])

@@ -21,41 +21,33 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from ..cost.base import CostModel
+from ..cost.base import CostModel, PlanningView
 from ..errors import OptimizerError
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from ..stats.catalog import PatternStatistics
 from .base import ORDER, PlanGenerator
-from .greedy import GreedyOrder
+from .greedy import greedy_order
+
+#: A move: the positions it rewrites and the positions their new
+#: occupants come from.
+Move = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _swap_neighbors(order: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """All orders reachable by swapping two positions."""
-    n = len(order)
-    for i in range(n):
-        for j in range(i + 1, n):
-            neighbor = list(order)
-            neighbor[i], neighbor[j] = neighbor[j], neighbor[i]
-            yield tuple(neighbor)
-
-
-def _cycle_neighbors(order: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """All orders reachable by cyclically shifting three positions."""
-    n = len(order)
-    for i, j, k in itertools.combinations(range(n), 3):
-        forward = list(order)
-        forward[i], forward[j], forward[k] = order[k], order[i], order[j]
-        yield tuple(forward)
-        backward = list(order)
-        backward[i], backward[j], backward[k] = order[j], order[k], order[i]
-        yield tuple(backward)
+def apply_move(order: list[int], move: Move) -> list[int]:
+    """The neighbor of ``order`` reached by ``move``."""
+    targets, sources = move
+    neighbor = list(order)
+    for target, source in zip(targets, sources):
+        neighbor[target] = order[source]
+    return neighbor
 
 
 class _IterativeImprovement(PlanGenerator):
-    """Shared II implementation; subclasses choose the starting order."""
+    """Shared II implementation; starts from random orders unless a
+    subclass chooses otherwise."""
 
     kind = ORDER
 
@@ -80,15 +72,12 @@ class _IterativeImprovement(PlanGenerator):
 
     # -- hooks ---------------------------------------------------------------
     def _initial_order(
-        self,
-        attempt: int,
-        variables: tuple[str, ...],
-        decomposed: DecomposedPattern,
-        stats: PatternStatistics,
-        cost_model: CostModel,
-        rng: random.Random,
-    ) -> tuple[str, ...]:
-        raise NotImplementedError
+        self, attempt: int, view: PlanningView, rng: random.Random
+    ) -> list[int]:
+        """A uniformly random order."""
+        order = list(range(view.n))
+        rng.shuffle(order)
+        return order
 
     # -- search -----------------------------------------------------------------
     def generate(
@@ -97,47 +86,47 @@ class _IterativeImprovement(PlanGenerator):
         stats: PatternStatistics,
         cost_model: CostModel,
     ) -> OrderPlan:
-        variables = self._check_input(decomposed, stats)
+        view = self._planning_view(decomposed, stats, cost_model)
         rng = random.Random(self.seed)
-        best_order: Optional[tuple[str, ...]] = None
+        best_order: Optional[list[int]] = None
         best_cost = float("inf")
         for attempt in range(self.restarts):
-            start = self._initial_order(
-                attempt, variables, decomposed, stats, cost_model, rng
-            )
-            order, cost = self._descend(start, stats, cost_model)
+            start = self._initial_order(attempt, view, rng)
+            order, cost = self._descend(start, view)
             if cost < best_cost:
                 best_order, best_cost = order, cost
         assert best_order is not None
-        return OrderPlan(best_order)
+        return OrderPlan([view.variables[i] for i in best_order])
 
     def _descend(
-        self,
-        start: tuple[str, ...],
-        stats: PatternStatistics,
-        cost_model: CostModel,
-    ) -> tuple[tuple[str, ...], float]:
-        current = tuple(start)
-        current_cost = cost_model.order_cost(current, stats)
+        self, start: list[int], view: PlanningView
+    ) -> tuple[list[int], float]:
+        current = list(start)
+        trail = view.order_trail(current)
         for _ in range(self.max_steps):
             improved = False
-            for neighbor in self._neighbors(current):
-                cost = cost_model.order_cost(neighbor, stats)
-                if cost < current_cost:
-                    current, current_cost = neighbor, cost
+            for move in self._moves(view.n):
+                # A neighbor agrees with the current order before the
+                # first position its move rewrites: resume pricing there.
+                neighbor = apply_move(current, move)
+                priced = view.order_trail(neighbor, trail, move[0][0])
+                if priced[-1][0] < trail[-1][0]:
+                    current, trail = neighbor, priced
                     improved = True
                     break  # first-improvement descent
             if not improved:
                 break
-        return current, current_cost
+        return current, trail[-1][0]
 
-    def _neighbors(
-        self, order: tuple[str, ...]
-    ) -> Iterator[tuple[str, ...]]:
+    def _moves(self, n: int) -> Iterator[Move]:
+        """Swaps, then 3-cycles (both rotations), positions ascending."""
         if "swap" in self.moves:
-            yield from _swap_neighbors(order)
-        if "cycle" in self.moves and len(order) >= 3:
-            yield from _cycle_neighbors(order)
+            for pair in itertools.combinations(range(n), 2):
+                yield pair, pair[::-1]
+        if "cycle" in self.moves:
+            for i, j, k in itertools.combinations(range(n), 3):
+                yield (i, j, k), (k, i, j)
+                yield (i, j, k), (j, k, i)
 
 
 class IterativeImprovementRandom(_IterativeImprovement):
@@ -145,23 +134,13 @@ class IterativeImprovementRandom(_IterativeImprovement):
 
     name = "II-RANDOM"
 
-    def _initial_order(self, attempt, variables, decomposed, stats,
-                       cost_model, rng):
-        order = list(variables)
-        rng.shuffle(order)
-        return tuple(order)
-
 
 class IterativeImprovementGreedy(_IterativeImprovement):
     """II-GREEDY: local search seeded with the GREEDY solution."""
 
     name = "II-GREEDY"
 
-    def _initial_order(self, attempt, variables, decomposed, stats,
-                       cost_model, rng):
+    def _initial_order(self, attempt, view, rng):
         if attempt == 0:
-            plan = GreedyOrder().generate(decomposed, stats, cost_model)
-            return plan.variables
-        order = list(variables)
-        rng.shuffle(order)
-        return tuple(order)
+            return greedy_order(view)
+        return super()._initial_order(attempt, view, rng)

@@ -20,13 +20,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cost.asi import concat_cost
-from ..cost.base import CostModel
+from ..cost.base import CostModel, PlanningView
 from ..errors import OptimizerError
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from ..stats.catalog import PatternStatistics
-from .base import ORDER, PlanGenerator, connectivity_edges
-from .greedy import GreedyOrder
+from .base import ORDER, PlanGenerator
+from .greedy import greedy_order
 
 
 class _Module:
@@ -34,7 +34,7 @@ class _Module:
 
     __slots__ = ("variables", "cost", "multiplier")
 
-    def __init__(self, variables: list[str], cost: float, multiplier: float):
+    def __init__(self, variables: list[int], cost: float, multiplier: float):
         self.variables = variables
         self.cost = cost
         self.multiplier = multiplier
@@ -66,90 +66,55 @@ class KBZOrder(PlanGenerator):
         stats: PatternStatistics,
         cost_model: CostModel,
     ) -> OrderPlan:
-        variables = self._check_input(decomposed, stats)
-        adjacency = self._tree_adjacency(variables, stats)
-        if adjacency is None:
+        view = self._planning_view(decomposed, stats, cost_model)
+        if not self._is_tree(view.adjacent):
             if not self.fallback:
                 raise OptimizerError(
                     "KBZ requires a connected acyclic query graph"
                 )
-            return GreedyOrder().generate(decomposed, stats, cost_model)
-
-        best_order: Optional[tuple[str, ...]] = None
-        best_cost = float("inf")
-        for root in variables:
-            order = self._solve_rooted(root, adjacency, stats)
-            cost = cost_model.order_cost(order, stats)
-            if cost < best_cost:
-                best_order, best_cost = order, cost
-        assert best_order is not None
-        return OrderPlan(best_order)
+            best_order = greedy_order(view)
+        else:
+            best_order = min(
+                (self._solve_rooted(root, view) for root in range(view.n)),
+                key=view.order_cost,
+            )
+        return OrderPlan([view.variables[i] for i in best_order])
 
     # -- query graph -------------------------------------------------------
-    def _tree_adjacency(
-        self, variables: tuple[str, ...], stats: PatternStatistics
-    ) -> Optional[dict[str, list[str]]]:
-        """Adjacency lists when the query graph is a tree, else None."""
-        edges = connectivity_edges(variables, stats)
-        if len(edges) != len(variables) - 1:
-            return None
-        adjacency: dict[str, list[str]] = {v: [] for v in variables}
-        for edge in edges:
-            var_a, var_b = sorted(edge)
-            adjacency[var_a].append(var_b)
-            adjacency[var_b].append(var_a)
+    @staticmethod
+    def _is_tree(adjacent: list[int]) -> bool:
+        """Is the query graph connected and acyclic?"""
+        edges = sum(bin(mask).count("1") for mask in adjacent) // 2
+        if edges != len(adjacent) - 1:
+            return False
         # Connectivity check (acyclicity follows from the edge count).
-        seen = {variables[0]}
-        frontier = [variables[0]]
+        seen, frontier = 1, [0]
         while frontier:
-            node = frontier.pop()
-            for neighbor in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        if len(seen) != len(variables):
-            return None
-        return adjacency
+            neighbors = adjacent[frontier.pop()] & ~seen
+            seen |= neighbors
+            frontier.extend(
+                i for i in range(len(adjacent)) if neighbors >> i & 1
+            )
+        return seen == (1 << len(adjacent)) - 1
 
     # -- the IK/KBZ procedure ----------------------------------------------------
-    def _solve_rooted(
-        self,
-        root: str,
-        adjacency: dict[str, list[str]],
-        stats: PatternStatistics,
-    ) -> tuple[str, ...]:
-        parent: dict[str, Optional[str]] = {root: None}
-        topo: list[str] = [root]
-        frontier = [root]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in adjacency[node]:
-                if neighbor not in parent:
-                    parent[neighbor] = node
-                    topo.append(neighbor)
-                    frontier.append(neighbor)
+    def _solve_rooted(self, root: int, view: PlanningView) -> list[int]:
+        adjacent, stats = view.adjacent, view.stats
 
-        def weight(variable: str) -> float:
-            value = stats.window * stats.rate(variable)
-            source = parent[variable]
-            if source is not None:
-                value *= stats.selectivity(source, variable)
-            return value
-
-        def solve(node: str) -> list[_Module]:
-            children = [n for n in adjacency[node] if parent[n] == node]
+        def solve(node: int, parent: Optional[int]) -> list[_Module]:
             merged: list[_Module] = []
-            for child in children:
-                merged = _merge_by_rank(merged, solve(child))
-            w = weight(node)
-            sequence = [_Module([node], w, w)] + merged
-            return _normalize(sequence)
+            for child in range(view.n):
+                if adjacent[node] >> child & 1 and child != parent:
+                    merged = _merge_by_rank(merged, solve(child, node))
+            weight = stats.window * stats.rate(view.variables[node])
+            if parent is not None:
+                weight *= view.sel[parent][node]
+            return _normalize([_Module([node], weight, weight)] + merged)
 
-        modules = solve(root)
-        order: list[str] = []
-        for module in modules:
+        order: list[int] = []
+        for module in solve(root, None):
             order.extend(module.variables)
-        return tuple(order)
+        return order
 
 
 def _merge_by_rank(left: list[_Module], right: list[_Module]) -> list[_Module]:

@@ -15,15 +15,14 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..cost.base import CostModel
+from ..cost.base import CostModel, PlanningView
 from ..patterns.transformations import DecomposedPattern
-from ..plans.order_plan import OrderPlan
 from ..plans.tree_plan import TreeNode, TreePlan, leaf
 from ..stats.catalog import PatternStatistics
 from .base import TREE, PlanGenerator
-from .greedy import GreedyOrder
+from .greedy import greedy_order
 
 
 def best_tree_for_leaf_order(
@@ -32,35 +31,45 @@ def best_tree_for_leaf_order(
     cost_model: CostModel,
 ) -> TreePlan:
     """Optimal tree over a fixed leaf order (interval DP, O(n^3))."""
-    names = tuple(leaf_order)
-    n = len(names)
-    # table[(i, j)] = (cost, node) for the best tree over names[i:j].
-    table: dict[tuple[int, int], tuple[float, TreeNode]] = {}
-    for i, name in enumerate(names):
-        table[(i, i + 1)] = (cost_model.leaf_cost(name, stats), leaf(name))
+    view = cost_model.planning_view(tuple(leaf_order), stats)
+    return _interval_tree(view, range(view.n))
+
+
+def _interval_tree(view: PlanningView, leaves: Sequence[int]) -> TreePlan:
+    """The interval DP over ``leaves``, a sequence of variable indices."""
+    n = len(leaves)
+    # covered[k] = mask of leaves[:k]; leaves[i:j] is covered[i] ^ covered[j].
+    covered = [0]
+    for variable in leaves:
+        covered.append(covered[-1] | 1 << variable)
+    # best[i, j] = cost of the best tree over leaves[i:j], split at
+    # leaves[split[i, j]].
+    best = {(i, i + 1): view.leaf(v) for i, v in enumerate(leaves)}
+    split: dict[tuple[int, int], int] = {}
     for length in range(2, n + 1):
         for i in range(0, n - length + 1):
             j = i + length
-            best_cost = float("inf")
-            best_node: Optional[TreeNode] = None
-            for split in range(i + 1, j):
-                left_cost, left_node = table[(i, split)]
-                right_cost, right_node = table[(split, j)]
-                cost = (
-                    left_cost
-                    + right_cost
-                    + cost_model.combine_cost(
-                        frozenset(names[i:split]),
-                        frozenset(names[split:j]),
-                        stats,
+            cost = float("inf")
+            for middle in range(i + 1, j):
+                price = (
+                    best[i, middle]
+                    + best[middle, j]
+                    + view.combine(
+                        covered[i] ^ covered[middle],
+                        covered[middle] ^ covered[j],
                     )
                 )
-                if cost < best_cost:
-                    best_cost = cost
-                    best_node = TreeNode(left=left_node, right=right_node)
-            assert best_node is not None
-            table[(i, j)] = (best_cost, best_node)
-    return TreePlan(table[(0, n)][1])
+                if price < cost:
+                    cost, split[i, j] = price, middle
+            best[i, j] = cost
+
+    def build(i: int, j: int) -> TreeNode:
+        if j == i + 1:
+            return leaf(view.variables[leaves[i]])
+        middle = split[i, j]
+        return TreeNode(left=build(i, middle), right=build(middle, j))
+
+    return TreePlan(build(0, n))
 
 
 class ZStreamTree(PlanGenerator):
@@ -75,8 +84,8 @@ class ZStreamTree(PlanGenerator):
         stats: PatternStatistics,
         cost_model: CostModel,
     ) -> TreePlan:
-        variables = self._check_input(decomposed, stats)
-        return best_tree_for_leaf_order(variables, stats, cost_model)
+        view = self._planning_view(decomposed, stats, cost_model)
+        return _interval_tree(view, range(view.n))
 
 
 class ZStreamOrderedTree(PlanGenerator):
@@ -91,6 +100,5 @@ class ZStreamOrderedTree(PlanGenerator):
         stats: PatternStatistics,
         cost_model: CostModel,
     ) -> TreePlan:
-        self._check_input(decomposed, stats)
-        order: OrderPlan = GreedyOrder().generate(decomposed, stats, cost_model)
-        return best_tree_for_leaf_order(order.variables, stats, cost_model)
+        view = self._planning_view(decomposed, stats, cost_model)
+        return _interval_tree(view, greedy_order(view))

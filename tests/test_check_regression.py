@@ -116,6 +116,34 @@ class TestCompare:
         assert regressions == [] and notes == []
 
 
+class TestPlanQualityRows:
+    """fig17 rows: paired by (algorithm, size), gated on plan quality."""
+
+    @staticmethod
+    def payload(cost: float, seconds: float = 0.01) -> dict:
+        return {
+            "smoke": False,
+            "runs": [
+                {"algorithm": "DP-B", "size": 12, "plan_s": seconds,
+                 "normalized_cost": cost},
+                {"algorithm": "DP-B", "size": 16, "plan_s": 5.0,
+                 "normalized_cost": 3.8},
+            ],
+        }
+
+    def test_normalized_cost_gates_as_a_ratio(self, gate):
+        regressions, _ = gate.compare(self.payload(3.3), self.payload(2.0))
+        assert [(r["metric"], dict(r["key"])["size"]) for r in regressions] == [
+            ("normalized_cost", 12)
+        ]
+
+    def test_plan_seconds_are_informational(self, gate):
+        regressions, notes = gate.compare(
+            self.payload(3.3, seconds=0.01), self.payload(3.3, seconds=10.0)
+        )
+        assert regressions == [] and notes == []
+
+
 class TestCheckCli:
     def _write(self, directory: Path, payload: dict) -> None:
         directory.mkdir(parents=True, exist_ok=True)
