@@ -141,6 +141,20 @@ class BenchEnv:
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / name).write_text(json.dumps(payload, indent=2) + "\n")
 
+    @staticmethod
+    def host_fingerprint() -> dict:
+        """What a full-scale ``BENCH_*.json`` baseline was measured on."""
+        import os
+        import platform
+
+        return {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "machine": platform.machine(),
+            "system": platform.system(),
+            "cpus": os.cpu_count(),
+        }
+
 
 def build_env() -> BenchEnv:
     stream = generate_stock_stream(

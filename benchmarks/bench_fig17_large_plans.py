@@ -22,7 +22,6 @@ gated).
 from __future__ import annotations
 
 import os
-import platform
 import random
 import time
 
@@ -112,13 +111,7 @@ def test_fig17_normalized_cost_and_time(benchmark, env):
         "BENCH_fig17.json",
         {
             "smoke": False,
-            "host": {
-                "python": platform.python_version(),
-                "implementation": platform.python_implementation(),
-                "machine": platform.machine(),
-                "system": platform.system(),
-                "cpus": os.cpu_count(),
-            },
+            "host": env.host_fingerprint(),
             "runs": [
                 {
                     "algorithm": algorithm,

@@ -2,7 +2,7 @@
 
 Not a figure of the source paper — this sweep evaluates
 :mod:`repro.service`: one keyed workload streamed incrementally
-through a persistent session on three execution paths:
+through a persistent session on four execution paths:
 
 * **serial** — the in-frame worker (workers=1), the latency floor of
   the streaming machinery itself;
@@ -11,12 +11,20 @@ through a persistent session on three execution paths:
   through the canonical-order safety frontier);
 * **socket-loopback** — the same protocol spoken over TCP to a
   loopback shard server (``repro.service.shard_server``), the
-  distributed deployment shape measured on one machine.
+  distributed deployment shape measured on one machine;
+* **ingestor** — the session-pool path entered through the asyncio
+  front door (:class:`repro.service.Ingestor`): ``put`` per event, the
+  batch-while-busy pump, ``matches()``.
 
-Each path reports sustained events/sec plus p50/p95/p99 detection
+The first three drive ``SessionStream.feed`` directly in ``CHUNK``-event
+chunks and report sustained events/sec plus p50/p95/p99 detection
 latency (arrival-to-emission, from the per-match histogram the session
-records).  Match lists are asserted byte-identical (canonical order)
-to the single-threaded **interpreted** engine run for every path —
+records).  The ingestor row reports closed-loop events/sec (events put
+as fast as they are accepted) and, from a second, open-loop run on a
+fixed ``OPEN_RATE`` schedule, the latency of each match timed from when
+its completing event was *due* — a stall therefore counts against every
+event scheduled behind it.  Match lists are asserted byte-identical
+(canonical order) to the single-threaded **interpreted** engine run for every path —
 the service runtime is an execution strategy, never a semantics
 change.
 
@@ -31,6 +39,7 @@ Writes ``fig25_service_latency.txt`` and the machine-readable
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
 import time
@@ -44,14 +53,16 @@ from repro import (
     parse_pattern,
     plan_pattern,
 )
+from repro.engines.metrics import LatencyHistogram
 from repro.events import Event, Stream
-from repro.parallel import match_records
-from repro.service import serve_in_thread
+from repro.parallel import completion_seq, match_records
+from repro.service import Ingestor, serve_in_thread
 
 from _common import RESULTS_DIR, BenchEnv
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 GAP = 0.02
+OPEN_RATE = 4000.0  # events per second offered to the ingestor's open loop
 PATTERN = "PATTERN SEQ(A a, B b, C c) WHERE a.k = b.k AND b.k = c.k WITHIN {w}"
 
 if SMOKE:
@@ -201,6 +212,91 @@ def _streamed_run(executor: ParallelExecutor, events: list):
     return matches, run
 
 
+async def _ingested_run(executor: ParallelExecutor, events: list, rate=None):
+    """One run through the asyncio front door: closed loop when ``rate``
+    is None, else open loop on a fixed schedule.  Returns ``(matches,
+    wall, latencies, ingestor)``; the latency histogram (open loop
+    only) runs from the due time of each match's completing event."""
+    matches, latencies = [], LatencyHistogram()
+    async with Ingestor(
+        executor, flush_events=2 * CHUNK, max_pending=4096
+    ) as ingestor:
+        started = time.perf_counter()
+        due = rate and [
+            started + 0.05 + i / rate for i in range(len(events))
+        ]
+
+        async def consume():
+            async for match in ingestor.matches():
+                if due:
+                    latencies.record(
+                        time.perf_counter() - due[completion_seq(match)]
+                    )
+                matches.append(match)
+
+        consumer = asyncio.create_task(consume())
+        for position, event in enumerate(events):
+            if due:
+                while (wait := due[position] - time.perf_counter()) > 0:
+                    await asyncio.sleep(min(wait, 0.001))
+            await ingestor.put(event)
+        await ingestor.close()
+        await consumer
+        wall = time.perf_counter() - started
+    return matches, wall, latencies, ingestor
+
+
+def _report(mode: str, workers: int, events: list, matches: list,
+            wall: float, hist: LatencyHistogram, **extra):
+    """One path's table row and JSON record."""
+    events_per_s = len(events) / wall if wall > 0 else 0.0
+    row = [
+        mode,
+        workers,
+        len(matches),
+        f"{events_per_s:,.0f}",
+        f"{hist.p50 * 1e3:.2f}",
+        f"{hist.p95 * 1e3:.2f}",
+        f"{hist.p99 * 1e3:.2f}",
+    ]
+    record = {
+        "mode": mode,
+        "workers": workers,
+        "events": len(events),
+        "matches": len(matches),
+        "events_per_s": events_per_s,
+        "wall_s": wall,
+        "latency_p50_s": hist.p50,
+        "latency_p95_s": hist.p95,
+        "latency_p99_s": hist.p99,
+        "latency_mean_s": hist.mean,
+        "latency_samples": len(hist),
+        **extra,
+    }
+    return row, record
+
+
+def _ingestor_report(executor: ParallelExecutor, events: list, expected):
+    """Row and record of the ``ingestor`` path: closed-loop throughput,
+    open-loop latency."""
+    asyncio.run(_ingested_run(executor, events))  # warm the pool
+    closed, wall, _, _ = asyncio.run(_ingested_run(executor, events))
+    opened, _, latencies, ingestor = asyncio.run(
+        _ingested_run(executor, events, OPEN_RATE)
+    )
+    for label, matches in (("closed", closed), ("open", opened)):
+        assert match_records(matches) == expected, (
+            f"ingestor ({label} loop) diverges from the interpreted "
+            "serial run"
+        )
+    assert ingestor.shed == 0
+    return _report(
+        "ingestor", executor.config.workers, events, closed, wall,
+        latencies, open_rate_eps=OPEN_RATE,
+        open_blocked_puts=ingestor.blocked,
+    )
+
+
 def test_fig25_service_latency(benchmark, env: BenchEnv):
     stream = _stream()
     events = list(stream)
@@ -221,38 +317,17 @@ def test_fig25_service_latency(benchmark, env: BenchEnv):
                 assert match_records(matches) == expected, (
                     f"{mode} diverges from the interpreted serial run"
                 )
-                hist = run.detection_latency
-                events_per_s = (
-                    len(events) / run.wall_seconds
-                    if run.wall_seconds > 0
-                    else 0.0
+                row, record = _report(
+                    mode, config.workers, events, matches,
+                    run.wall_seconds, run.detection_latency,
                 )
-                rows.append(
-                    [
-                        mode,
-                        config.workers,
-                        len(matches),
-                        f"{events_per_s:,.0f}",
-                        f"{hist.p50 * 1e3:.2f}",
-                        f"{hist.p95 * 1e3:.2f}",
-                        f"{hist.p99 * 1e3:.2f}",
-                    ]
-                )
-                runs.append(
-                    {
-                        "mode": mode,
-                        "workers": config.workers,
-                        "events": len(events),
-                        "matches": len(matches),
-                        "events_per_s": events_per_s,
-                        "wall_s": run.wall_seconds,
-                        "latency_p50_s": hist.p50,
-                        "latency_p95_s": hist.p95,
-                        "latency_p99_s": hist.p99,
-                        "latency_mean_s": hist.mean,
-                        "latency_samples": len(hist),
-                    }
-                )
+                rows.append(row)
+                runs.append(record)
+
+        with ParallelExecutor(planned, _config("session-pool")) as executor:
+            row, record = _ingestor_report(executor, events, expected)
+            rows.append(row)
+            runs.append(record)
 
         # Observability artifacts (trace + Prometheus snapshot) from a
         # traced replay of the same workload; asserts byte-identity.
@@ -288,7 +363,7 @@ def test_fig25_service_latency(benchmark, env: BenchEnv):
         "BENCH_fig25.json",
         {
             "smoke": SMOKE,
-            "cpus": os.cpu_count(),
+            "host": env.host_fingerprint(),
             "runs": runs,
             "session_reuse": {
                 "cold_fork_per_run_s": cold,

@@ -3,11 +3,19 @@
 An :class:`Ingestor` bridges an :mod:`asyncio` application and a
 persistent :class:`~repro.service.session.Session`: producers ``await
 put(event)`` as events arrive, a pump coroutine frames them into
-batches — flushed by size (``flush_events``) or age
-(``flush_seconds``) — and feeds each frame to the session's streaming
-run on a worker thread, and consumers read matches from the
-:meth:`matches` async iterator *in the canonical partition-independent
-merge order*, long before the stream ends.
+batches and feeds each frame to the session's streaming run on a worker
+thread, and consumers read matches from the :meth:`matches` async
+iterator *in the canonical partition-independent merge order*, long
+before the stream ends.
+
+Framing is **batch while busy**: the pump waits for one event, takes
+whatever else is already queued — up to ``flush_events`` — and feeds
+it, while the next frame accumulates.  A frame is thus cut by size
+under load and as soon as the queue runs dry otherwise; if the queue is
+still empty after a feed the pump waits out the remaining worker
+acknowledgements, so a lull never holds matches back.  There is no
+timer: ``flush_seconds`` is the bound on how long an admitted event may
+wait for its frame while the pump is idle, met by construction.
 
 Backpressure is explicit and bounded: the input queue holds at most
 ``max_pending`` events.  Under ``backpressure="block"`` a full queue
@@ -54,7 +62,7 @@ class Ingestor:
     :class:`~repro.service.session.Session`.  Use as an async context
     manager::
 
-        async with Ingestor(executor, flush_seconds=0.01) as ingestor:
+        async with Ingestor(executor, flush_events=128) as ingestor:
             consumer = asyncio.create_task(consume(ingestor.matches()))
             for event in source:
                 await ingestor.put(event)
@@ -73,6 +81,11 @@ class Ingestor:
     exactly the old any-disorder rejection — and ``"drop"`` counts it
     in ``events_late_dropped`` and sheds it.  ``close`` flushes the
     reorder buffer before finishing the run.
+
+    A frame is fed at ``flush_events`` or as soon as the queue runs dry
+    (module docstring); ``flush_seconds`` starts no timer and stays as
+    the stated bound on idle frame age.  ``put`` suspends only on a full
+    queue under ``"block"`` or behind a producer already parked on one.
     """
 
     def __init__(
@@ -110,7 +123,6 @@ class Ingestor:
         self._max_pending = max_pending
         self._policy = backpressure
         self._flush_events = flush_events
-        self._flush_seconds = flush_seconds
         self._inq: Optional[asyncio.Queue] = None
         self._outq: Optional[asyncio.Queue] = None
         self._pump_task: Optional[asyncio.Task] = None
@@ -120,7 +132,7 @@ class Ingestor:
         self._failure: Optional[BaseException] = None
         self._closing = False
         self._next_seq = 0
-        self._last_ts = float("-inf")
+        self._unyielded = 0  # events offered since put last yielded
         #: Disorder-layer counters (events_reordered,
         #: events_late_dropped, watermark_lag) merged into
         #: :attr:`metrics`; sampled into the registry per flush.
@@ -167,8 +179,8 @@ class Ingestor:
         """
         if self._pump_task is None:
             raise ParallelError("ingestor was never started")
-        if not self._closing:
-            async with self._put_lock:
+        async with self._put_lock:
+            if not self._closing and self._failure is None:
                 self._closing = True
                 # End of stream closes the disorder bound: everything
                 # still held for reordering is released in timestamp
@@ -176,7 +188,7 @@ class Ingestor:
                 for released, arrived in self._buffer.flush():
                     if not await self._admit(released, arrived):
                         self.shed_at_release += 1
-            await self._inq.put(_EOS)
+                await self._inq.put(_EOS)
         await self._pump_task
 
     async def __aenter__(self) -> "Ingestor":
@@ -200,13 +212,18 @@ class Ingestor:
                 pass  # the body's exception is already propagating
 
     # -- producing -----------------------------------------------------------
-    async def put(self, event: Event) -> bool:
-        """Admit one event; returns False when the shed policy drops it.
+    def _check_open(self) -> None:
+        if self._pump_task is None:
+            raise ParallelError("ingestor was never started")
+        if self._failure is not None:
+            raise self._failure
+        if self._closing or self._pump_task.done():
+            raise ParallelError("ingestor is closed")
 
-        Safe to call from several producer coroutines: admission is
-        serialized by a lock, so each accepted event gets a unique
-        sequence number and the timestamp-order check sees a
-        consistent frontier.
+    async def put(self, event: Event) -> bool:
+        """Admit one event; returns False when it is dropped (a full
+        queue under ``"shed"``, or a late event under ``"drop"``).
+        Safe to call from several producer coroutines.
 
         With ``max_delay > 0`` and ``backpressure="shed"``, True is
         *provisional* for an event the disorder buffer holds back: when
@@ -215,74 +232,93 @@ class Ingestor:
         :attr:`shed` and, separately, :attr:`shed_at_release` so callers
         can reconcile earlier acceptances.
         """
-        if self._pump_task is None:
-            raise ParallelError("ingestor was never started")
-        if self._closing:
-            raise ParallelError("ingestor is closed")
-        if self._failure is not None:
-            raise self._failure
-        async with self._put_lock:
-            if self._closing:
-                raise ParallelError("ingestor is closed")
-            # Disorder policy instead of a hard order check: within
-            # max_delay the buffer reorders; beyond it, "strict" raises
-            # StreamOrderError and "drop" sheds the late event (counted
-            # in disorder.events_late_dropped, not in backpressure
-            # shed).  max_delay=0 + "strict" is the old behavior.
+        return await self.put_many((event,)) == 1
+
+    async def put_many(self, events: Iterable[Event]) -> int:
+        """Admit a chunk in order; returns how many were accepted, with
+        :attr:`shed` / :attr:`shed_at_release` / :attr:`blocked`
+        counted exactly as the equivalent :meth:`put` sequence would.
+
+        The common case never suspends: disorder check, sequence stamp
+        and ``put_nowait`` of every event run back to back on the event
+        loop, hence atomically against other producers.  The admission
+        lock is taken, once per chunk, only when the chunk may have to
+        wait: under ``"block"`` when the queue might not hold all the
+        chunk can release, or when a producer is already parked on a
+        full queue (it holds the lock; later arrivals line up behind it
+        so queue order stays sequence order).
+        """
+        self._check_open()
+        events = tuple(events)
+        if self._put_lock.locked() or (
+            self._policy == "block"
+            and self._inq.qsize() + len(self._buffer) + len(events)
+            > self._max_pending
+        ):
+            async with self._put_lock:
+                self._check_open()
+                accepted = await self._admit_chunk(events)
+        else:
+            accepted = await self._admit_chunk(events)  # never suspends
+        self._unyielded += len(events)
+        if self._unyielded >= self._flush_events:
+            # A frame's worth went in since this side last yielded: let
+            # the pump cut it.  A tight producer over a never-full queue
+            # has no other suspension point and would starve the run.
+            self._unyielded = 0
+            await asyncio.sleep(0)
+        return accepted
+
+    async def _admit_chunk(self, events: tuple) -> int:
+        """Pass each event through the disorder policy — within
+        ``max_delay`` the buffer reorders; beyond it ``"strict"``
+        raises StreamOrderError and ``"drop"`` sheds the late event
+        (``disorder.events_late_dropped``, not backpressure shed) — and
+        admit what the watermark releases."""
+        accepted = 0
+        for event in events:
             result = self._buffer.offer(
                 event.timestamp, (event, time.perf_counter())
             )
             if result.late is not None:
-                return False
-            accepted = True
+                continue
+            accepted += 1
             for released, arrived in result.released:
-                admitted = await self._admit(released, arrived)
+                if await self._admit(released, arrived):
+                    continue
                 if released is event:
-                    accepted = admitted
-                elif not admitted:
+                    accepted -= 1
+                else:
                     # A previously-accepted buffered event was shed at
                     # release: its put() already returned True.
                     self.shed_at_release += 1
-        if self._inq.qsize() >= self._flush_events:
-            # A full batch is queued: yield once so the pump can cut a
-            # frame.  Without this a tight producer loop over a
-            # never-full queue has no suspension point and starves the
-            # event loop — the pump (and hence the whole run) would not
-            # start until the producer first blocks.
-            await asyncio.sleep(0)
         return accepted
 
     async def _admit(self, event: Event, arrived: float) -> bool:
-        """Stamp and enqueue one watermark-released event (lock held).
+        """Stamp and enqueue one watermark-released event; suspends
+        only on a full queue under ``"block"`` (lock held).
 
         Stamp only after admission: a shed (or cancelled) event must
         not burn a sequence number, or the frontier math would wait on
-        it.  The lock makes stamp-after-await sound — no other producer
-        can slip in between.  Because release order is timestamp order,
-        the fed stream stays ordered and consecutively numbered.
+        it.  No other producer can slip in between: the lock-free path
+        never awaits and the lock covers the one that does.  Release
+        order is timestamp order, so the fed stream stays ordered.
         """
-        stamped = event.with_seq(self._next_seq)
-        item = (stamped, arrived)
-        if self._policy == "shed":
-            try:
-                self._inq.put_nowait(item)
-            except asyncio.QueueFull:
-                self.shed += 1
-                return False
+        item = (event.with_seq(self._next_seq), arrived)
+        if not self._inq.full():
+            self._inq.put_nowait(item)
+        elif self._policy == "shed":
+            self.shed += 1
+            return False
         else:
-            if self._inq.full():
-                self.blocked += 1
+            self.blocked += 1
             await self._inq.put(item)
+            if self._pump_task.done():
+                # Woken by the dying pump emptying the queue, not by
+                # room: nobody will ever read this item.
+                self._check_open()
         self._next_seq += 1
-        self._last_ts = event.timestamp
         return True
-
-    async def put_many(self, events: Iterable[Event]) -> int:
-        """Admit events in order; returns how many were accepted."""
-        accepted = 0
-        for event in events:
-            accepted += await self.put(event)
-        return accepted
 
     # -- consuming -----------------------------------------------------------
     async def matches(self) -> AsyncIterator:
@@ -371,12 +407,17 @@ class Ingestor:
             self._failure = error
             self._outq.put_nowait(_Failure(error))
             raise
+        finally:
+            # Nobody reads the queue again: emptying it wakes a producer
+            # (or close) parked on it full, who then raises.
+            while not self._inq.empty():
+                self._inq.get_nowait()
 
     async def _abort(self) -> None:
-        """Quiesce after cancellation: wait out the feed still running
-        on its executor thread, then close the stream run so the pool
-        is left cleanly between runs (released matches are dropped —
-        the consumer abandoned the run)."""
+        """Quiesce after cancellation: wait out the feed or settle still
+        running on its executor thread, then close the stream run so
+        the pool is left cleanly between runs (released matches are
+        dropped — the consumer abandoned the run)."""
         future, self._busy = self._busy, None
         if future is not None:
             try:
@@ -390,70 +431,40 @@ class Ingestor:
                 pass
         self._outq.put_nowait(_EOS)
 
-    async def _offload(self, func, *args):
-        """Run session work on the executor, shielded: cancelling the
-        pump must never abandon a half-done feed — :meth:`_abort`
-        waits it out via :attr:`_busy` instead."""
+    async def _emit(self, func, *args) -> None:
+        """Run session work on the executor and queue the matches it
+        releases.  Shielded: cancelling the pump must never abandon a
+        half-done feed — :meth:`_abort` waits it out via :attr:`_busy`
+        instead."""
         future = self._loop.run_in_executor(None, func, *args)
         self._busy = future
-        result = await asyncio.shield(future)
+        released = await asyncio.shield(future)
         self._busy = None
-        return result
-
-    async def _pump_loop(self) -> None:
-        # The queue is read through a persistent getter task plus
-        # asyncio.wait, never wait_for(get(), timeout): wait_for
-        # cancels the get on timeout, and when the timeout races an
-        # external cancellation it raises TimeoutError instead —
-        # swallowing the cancel and leaving close()/__aexit__ awaiting
-        # a pump that went back to sleep.  asyncio.wait leaves the
-        # getter running across flushes, so no item is ever dropped
-        # and cancellation always propagates.
-        events: list = []
-        arrivals: list = []
-        deadline: Optional[float] = None
-        getter: Optional[asyncio.Task] = None
-        try:
-            while True:
-                if getter is None:
-                    getter = self._loop.create_task(self._inq.get())
-                if deadline is None:
-                    item = await getter
-                    getter = None
-                else:
-                    timeout = deadline - self._loop.time()
-                    if timeout > 0 and not getter.done():
-                        await asyncio.wait((getter,), timeout=timeout)
-                    if not getter.done():
-                        await self._flush(events, arrivals)
-                        events, arrivals, deadline = [], [], None
-                        continue
-                    item = getter.result()
-                    getter = None
-                if item is _EOS:
-                    await self._flush(events, arrivals)
-                    final = await self._offload(self._stream.finish)
-                    for match in final:
-                        self._outq.put_nowait(match)
-                    self._outq.put_nowait(_EOS)
-                    return
-                event, arrived = item
-                if not events:
-                    deadline = self._loop.time() + self._flush_seconds
-                events.append(event)
-                arrivals.append(arrived)
-                if len(events) >= self._flush_events:
-                    await self._flush(events, arrivals)
-                    events, arrivals, deadline = [], [], None
-        finally:
-            if getter is not None:
-                getter.cancel()
-
-    async def _flush(self, events: list, arrivals: list) -> None:
-        if not events:
-            return
-        released = await self._offload(self._stream.feed, events, arrivals)
         for match in released:
             self._outq.put_nowait(match)
-        if self._registry is not None:
-            self._sample_registry()
+
+    async def _pump_loop(self) -> None:
+        # Batch while busy (see the module docstring): frame size
+        # follows load with no timer and no per-event task.
+        inq, stream = self._inq, self._stream
+        while True:
+            item = await inq.get()
+            events, arrivals = [], []
+            while item is not _EOS:
+                events.append(item[0])
+                arrivals.append(item[1])
+                if len(events) >= self._flush_events or inq.empty():
+                    break
+                item = inq.get_nowait()
+            if events:
+                await self._emit(stream.feed, events, arrivals)
+                if self._registry is not None:
+                    self._sample_registry()
+            if item is _EOS:
+                await self._emit(stream.finish)
+                self._outq.put_nowait(_EOS)
+                return
+            if inq.empty() and stream.outstanding:
+                # A lull: collect what the last feed left unacknowledged
+                # now, not when the next event happens to arrive.
+                await self._emit(stream.settle)

@@ -1078,12 +1078,12 @@ class SessionStream:
     """One incremental run over a session's pool.
 
     ``feed(events)`` routes a chunk and returns every match that is now
-    *safe* to emit; ``finish()`` closes the run and returns the
-    remainder.  The concatenation of all returned lists is byte-
-    identical to the canonical batch output
-    (:func:`~repro.parallel.ordering.canonical_order` of a one-shot
-    run) — the frontier logic only ever *delays* emission, never
-    reorders it.
+    *safe* to emit, ``settle()`` waits for the tail a feed left in
+    flight, ``finish()`` closes the run and returns the remainder.  The
+    concatenation of all returned lists is byte-identical to the
+    canonical batch output (:func:`~repro.parallel.ordering.canonical_order`
+    of a one-shot run) — the frontier logic only ever *delays* emission,
+    never reorders it.
 
     **The safety frontier.**  Canonical order sorts by
     ``(completion_seq, ...)`` where ``completion_seq`` is the sequence
@@ -1217,6 +1217,25 @@ class SessionStream:
         self._feeder.flush()
         self._pool.drain_available()
         return self._release()
+
+    @property
+    def outstanding(self) -> bool:
+        """True while a submitted batch awaits its ACK — the matches it
+        completes stay unreleased until a later call collects them."""
+        live = self._started and not self._finished
+        return live and any(self._pool._unacked)
+
+    def settle(self) -> list:
+        """Wait for every outstanding ACK and return what that makes
+        releasable: what a caller does at a lull, when no next ``feed``
+        is coming to collect the tail of the last one."""
+        if not self.outstanding:
+            return []
+        pool = self._pool
+        with pool._io_lock:
+            for worker_id, unacked in enumerate(pool._unacked):
+                pool._pump(worker_id, lambda: not unacked)
+            return self._release()
 
     def finish(self) -> list:
         """Close the run; returns the held remainder in canonical order

@@ -19,6 +19,8 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -50,6 +52,7 @@ from repro.service.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.service.session import SessionStream
 from repro.service.transport import SocketChannel
 
 KEYED = "PATTERN SEQ(A a, B b, C c) WHERE a.k = b.k AND b.k = c.k WITHIN 1.5"
@@ -622,12 +625,25 @@ class TestIngestor:
 
         asyncio.run(main())
 
-    def test_exception_in_body_tears_down_pump_and_run(self):
+    @pytest.mark.parametrize("inflight", [None, "feed", "settle"])
+    def test_exception_in_body_tears_down_pump_and_run(
+        self, inflight, monkeypatch
+    ):
         # __aexit__ on an exception must await the cancelled pump (no
-        # destroyed-task warnings, no feed left running on an executor
-        # thread) and close the stream run so the pool is reusable.
+        # destroyed-task warnings, no feed or settle left running on an
+        # executor thread) and close the stream run so the pool is
+        # reusable — also when the exception lands while that executor
+        # call is still in flight.
         stream = mixed_stream(101, count=120)
         planned = plans_for(KEYED, stream)
+        entered, left = threading.Event(), threading.Event()
+        # Settle after every frame that leaves the queue empty, acked
+        # or not, so the "settle" row does not depend on ack timing.
+        monkeypatch.setattr(
+            SessionStream,
+            "outstanding",
+            property(lambda run: run._started and not run._finished),
+        )
 
         async def main():
             executor = ParallelExecutor(
@@ -642,13 +658,32 @@ class TestIngestor:
                     executor, flush_events=8, flush_seconds=0.005
                 ) as ingestor:
                     holder["ingestor"] = ingestor
+                    if inflight:
+                        real = getattr(ingestor._stream, inflight)
+
+                        def slow(*args):
+                            entered.set()
+                            time.sleep(0.1)
+                            try:
+                                return real(*args)
+                            finally:
+                                left.set()
+
+                        setattr(ingestor._stream, inflight, slow)
                     for event in list(stream)[:60]:
                         await ingestor.put(event)
                     await asyncio.sleep(0.02)
+                    for _ in range(1000 if inflight else 0):
+                        if entered.is_set():
+                            break
+                        await asyncio.sleep(0.002)
+                    assert entered.is_set() == bool(inflight)
+                    assert not left.is_set()
                     raise RuntimeError("boom")
             ingestor = holder["ingestor"]
             assert ingestor._pump_task.done()
             assert ingestor._stream.finished
+            assert left.is_set() or not inflight  # waited out, not abandoned
             # The abandoned run was closed cleanly: the same session
             # pool serves a fresh full run with correct output.
             matches = executor.run(stream)
