@@ -18,12 +18,10 @@ Three workload families over synthetic streams:
 * **mixed** — ``a.k = b.k AND a.v < b.v AND b.k = c.k``: hash bucket
   first, value bisect within (the composed access path).
 
-Six modes per configuration: ``interpreted+linear`` (the baseline),
+Five modes per configuration: ``interpreted+linear`` (the baseline),
 ``interpreted+indexed``, ``compiled+linear``, ``compiled+indexed``
-(PR-5 closure kernels), ``codegen`` (exec-generated kernel sources),
-and ``codegen+batch`` (generated kernels + chunked ``run_batched``
-with one grouped store-probe pass per same-variable run — the default
-engine configuration driven batch-wise).  Match sequences of all four modes
+(PR-5 closure kernels) and ``codegen`` (exec-generated kernel sources —
+the default engine configuration).  Match sequences of all modes
 are asserted identical for every run — kernels and range runs are
 access/evaluation paths, never a semantics change.  At default scale
 the theta-heavy rows must reach >= 2x combined speedup (asserted; smoke
@@ -62,20 +60,17 @@ MIXED = (
 )
 TEMPLATES = {"theta": THETA, "equality": EQUALITY, "mixed": MIXED}
 
-#: (indexed, compiled, codegen, batched) per reported mode, baseline
-#: first.  ``compiled+indexed`` pins ``codegen=False`` — the PR-5
-#: closure kernels — so the ``codegen`` and ``codegen+batch`` rows
-#: report the exec-generated source and batch-probe wins against it.
+#: (indexed, compiled, codegen) per reported mode, baseline first.
+#: ``compiled+indexed`` pins ``codegen=False`` — the PR-5 closure
+#: kernels — so the ``codegen`` row reports the exec-generated source
+#: win against it.
 MODES = (
-    ("interp+linear", False, False, False, False),
-    ("interp+indexed", True, False, False, False),
-    ("compiled+linear", False, True, False, False),
-    ("compiled+indexed", True, True, False, False),
-    ("codegen", True, True, True, False),
-    ("codegen+batch", True, True, True, True),
+    ("interp+linear", False, False, False),
+    ("interp+indexed", True, False, False),
+    ("compiled+linear", False, True, False),
+    ("compiled+indexed", True, True, False),
+    ("codegen", True, True, True),
 )
-
-BATCH_SIZE = 512
 
 #: (family, events, key cardinality, window).
 if SMOKE:
@@ -134,20 +129,17 @@ def _run_modes(text: str, stream: Stream, runtime: str):
     best = {name: float("inf") for name, *_ in MODES}
     keys, metrics = {}, {}
     for _ in range(TIMING_ROUNDS):
-        for name, indexed, compiled, codegen, batched in MODES:
+        for name, indexed, compiled, codegen in MODES:
             engine = _engine(text, runtime, indexed, compiled, codegen)
             started = time.perf_counter()
-            if batched:
-                matches = engine.run_batched(stream, batch_size=BATCH_SIZE)
-            else:
-                matches = engine.run(stream)
+            matches = engine.run(stream)
             best[name] = min(best[name], time.perf_counter() - started)
             keys[name] = [m.key() for m in matches]
             metrics[name] = engine.metrics
     return best, keys, metrics
 
 
-# Six timed modes x three rounds outgrow the repo-wide 120s cap at
+# Five timed modes x three rounds outgrow the repo-wide 120s cap at
 # full scale; smoke runs finish in seconds either way.
 @pytest.mark.timeout(600)
 def test_fig24_compiled_hot_path(benchmark, env: BenchEnv):
@@ -182,7 +174,6 @@ def test_fig24_compiled_hot_path(benchmark, env: BenchEnv):
                     f"{speedup('compiled+linear'):.1f}x",
                     f"{speedup('compiled+indexed'):.1f}x",
                     f"{speedup('codegen'):.1f}x",
-                    f"{speedup('codegen+batch'):.1f}x",
                     full.range_probes,
                     full.predicate_kernel_calls,
                 ]
@@ -203,9 +194,7 @@ def test_fig24_compiled_hot_path(benchmark, env: BenchEnv):
                     "speedup_compiled": speedup("compiled+linear"),
                     "speedup_full": speedup("compiled+indexed"),
                     "codegen_wall_s": best["codegen"],
-                    "codegen_batch_wall_s": best["codegen+batch"],
                     "speedup_codegen": speedup("codegen"),
-                    "speedup_codegen_batch": speedup("codegen+batch"),
                     "range_probes": full.range_probes,
                     "range_hits": full.range_hits,
                     "predicate_kernel_calls": full.predicate_kernel_calls,
@@ -223,17 +212,15 @@ def test_fig24_compiled_hot_path(benchmark, env: BenchEnv):
                 assert record["speedup_full"] >= 2.0, record
             assert record["speedup_full"] >= 0.95, record
             assert record["speedup_compiled"] >= 0.95, record
-            # Codegen and codegen+batch must keep the integer-multiple
-            # speedup over the interpreted baseline on every row, and
-            # stay within noise of the PR-5 closure-kernel row (25%
-            # relative floor — several configs have ~100ms walls, so a
-            # ratio-of-ratios swings well past 15% run to run).
-            for key in ("speedup_codegen", "speedup_codegen_batch"):
-                assert record[key] >= 2.0, (key, record)
-                assert record[key] >= 0.75 * record["speedup_full"], (
-                    key,
-                    record,
-                )
+            # Codegen must keep the integer-multiple speedup over the
+            # interpreted baseline on every row, and stay within noise
+            # of the PR-5 closure-kernel row (25% relative floor —
+            # several configs have ~100ms walls, so a ratio-of-ratios
+            # swings well past 15% run to run).
+            assert record["speedup_codegen"] >= 2.0, record
+            assert (
+                record["speedup_codegen"] >= 0.75 * record["speedup_full"]
+            ), record
 
     family, events_count, keys_card, window = CONFIGS[0]
     stream = _stream(events_count, keys_card)
@@ -261,7 +248,6 @@ def _format(rows) -> str:
             "kern only",
             "combined",
             "codegen",
-            "cg+batch",
             "range probes",
             "kernel calls",
         ),

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Iterable, Iterator, Optional
+from typing import Deque, Iterator, Optional
 
 from ..errors import EngineError
 from ..events import Event, Stream
@@ -187,50 +187,15 @@ class BaseEngine:
         matches.extend(self.finalize())
         return matches
 
-    def process_batch(self, events: Iterable[Event]) -> list[Match]:
-        """Feed a chunk of events; return the matches they completed.
-
-        The match stream — contents *and* emission order — is identical
-        to calling :meth:`process` per event: engines that override the
-        per-batch hook only amortize access-path work (admission
-        kernels, store probes) across the chunk, and every event still
-        advances time, releases pending matches, and materializes its
-        survivors in arrival order.  Batch bookkeeping
-        (``batches_processed``, the ``batch_sizes`` histogram) is the
-        only metrics addition.
-        """
-        if not isinstance(events, list):
-            events = list(events)
-        if not events:
-            return []
-        self.metrics.batches_processed += 1
-        self.metrics.batch_sizes.record(len(events))
-        return self._process_batch_events(events)
-
-    def _process_batch_events(self, events: list[Event]) -> list[Match]:
-        """Per-batch hook: the generic path is a per-event loop."""
-        matches: list[Match] = []
-        for event in events:
-            matches.extend(self.process(event))
-        return matches
-
     def run_batched(
         self, stream: Stream, batch_size: int = 256
     ) -> list[Match]:
-        """Process an entire stream in chunks and flush pending matches."""
+        """Exactly :meth:`run`; kept only for the perf ledger's
+        ``engines.batch_ratio`` probe, which still calls it.  Engines
+        evaluate one event at a time, so there is no chunked path."""
         if batch_size < 1:
             raise EngineError(f"batch_size must be >= 1, got {batch_size}")
-        matches: list[Match] = []
-        chunk: list[Event] = []
-        for event in stream:
-            chunk.append(event)
-            if len(chunk) >= batch_size:
-                matches.extend(self.process_batch(chunk))
-                chunk = []
-        if chunk:
-            matches.extend(self.process_batch(chunk))
-        matches.extend(self.finalize())
-        return matches
+        return self.run(stream)
 
     def finalize(self) -> list[Match]:
         """End-of-stream: release pending matches (no more events can

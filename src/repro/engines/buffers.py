@@ -161,17 +161,6 @@ class VariableBuffer:
             self._index_event(event)
         return True
 
-    def admit(self, event: Event) -> None:
-        """Insert an event whose admission (type + unary filters) was
-        already decided — the batch path precomputes admission for a
-        whole chunk, then inserts per event so arrival order inside the
-        buffer is identical to per-event :meth:`offer` calls."""
-        self._events.append(event)
-        self._live[event.seq] = self._live.get(event.seq, 0) + 1
-        self._size += 1
-        if self._key_of is not None or self._value_of is not None:
-            self._index_event(event)
-
     def _index_event(self, event: Event) -> None:
         try:
             key = () if self._key_of is None else self._key_of(event)
@@ -303,56 +292,6 @@ class VariableBuffer:
                 metrics.index_hits += 1
             else:
                 metrics.index_misses += 1
-        yield from self._resolved_candidates(
-            bucket, trigger_seq, bound, on_excluded
-        )
-
-    def probe_batch(
-        self, probes, on_excluded=None
-    ) -> "list[list[Event]]":
-        """Grouped :meth:`probe`: one bucket resolution per distinct key.
-
-        ``probes`` is a sequence of ``(key, trigger_seq, bound)`` tuples;
-        the result list is positionally aligned and each entry equals
-        ``list(self.probe(key, trigger_seq, bound))``.  Probes sharing a
-        key resolve their bucket (and pay its expiry prefix-trim) once.
-        Unhashable keys degrade to individual probes.  Only safe while
-        no events are offered between the batched probes.
-        """
-        results: list = [None] * len(probes)
-        groups: dict = {}
-        metrics = self.metrics
-        for pos, (key, trigger_seq, bound) in enumerate(probes):
-            try:
-                groups.setdefault(key, []).append(pos)
-            except TypeError:  # unhashable probe key: degrade per probe
-                results[pos] = list(
-                    self.probe(key, trigger_seq, bound, on_excluded)
-                )
-        for key, positions in groups.items():
-            bucket = self._buckets.get(key)
-            if metrics is not None and self._key_of is not None:
-                metrics.index_probes += len(positions)
-                if bucket is not None and bucket.events:
-                    metrics.index_hits += len(positions)
-                else:
-                    metrics.index_misses += len(positions)
-            for pos in positions:
-                _, trigger_seq, bound = probes[pos]
-                results[pos] = list(
-                    self._resolved_candidates(
-                        bucket, trigger_seq, bound, on_excluded
-                    )
-                )
-        if metrics is not None:
-            metrics.batch_probe_fanout += len(probes)
-        return results
-
-    def _resolved_candidates(
-        self, bucket, trigger_seq: int, bound=NO_BOUND, on_excluded=None
-    ) -> Iterator[Event]:
-        """Candidates of an already-resolved bucket (shared by
-        :meth:`probe` and :meth:`probe_batch`)."""
         if (
             bucket is not None
             and self._value_of is not None

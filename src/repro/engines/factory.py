@@ -253,37 +253,10 @@ class DisjunctionEngine:
             matches.extend(engine.process(event))
         return matches
 
-    def process_batch(self, events) -> list[Match]:
-        """Feed a chunk of events.  Disjunct outputs interleave per
-        event (every engine sees event *i* before any engine sees event
-        *i+1*), so the match stream is byte-identical to per-event
-        :meth:`process` calls — the chunk only amortizes call overhead.
-        """
-        matches: list[Match] = []
-        for event in events:
-            matches.extend(self.process(event))
-        return matches
-
     def run(self, stream: Stream) -> list[Match]:
         matches: list[Match] = []
         for event in stream:
             matches.extend(self.process(event))
-        matches.extend(self.finalize())
-        return matches
-
-    def run_batched(
-        self, stream: Stream, batch_size: int = 256
-    ) -> list[Match]:
-        """Chunked :meth:`run` (same matches, same order)."""
-        matches: list[Match] = []
-        chunk: list[Event] = []
-        for event in stream:
-            chunk.append(event)
-            if len(chunk) >= batch_size:
-                matches.extend(self.process_batch(chunk))
-                chunk = []
-        if chunk:
-            matches.extend(self.process_batch(chunk))
         matches.extend(self.finalize())
         return matches
 

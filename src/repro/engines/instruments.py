@@ -137,21 +137,6 @@ INSTRUMENTS: Tuple[Instrument, ...] = (
         "process)",
     ),
     Instrument(
-        "batches_processed", "counter", "batches_processed", "engine",
-        "event chunks routed through process_batch()",
-        "event chunks routed through ``process_batch``\n"
-        "(batch-vectorized execution); 0 on the classic\n"
-        "per-event ``process`` path",
-    ),
-    Instrument(
-        "batch_probe_fanout", "counter", "batch_probe_fanout", "engine",
-        "store/buffer probes served through batch probe passes",
-        "store/buffer probes served through the grouped\n"
-        "``probe_batch`` entry points (sorted by bucket\n"
-        "key, shared bucket resolution) instead of one\n"
-        "probe call each",
-    ),
-    Instrument(
         "pm_expired", "counter", "pm_expired", "engine",
         "partial matches dropped by window expiry",
         "partial matches dropped by watermark-gated window\nexpiry",
@@ -323,14 +308,6 @@ INSTRUMENTS: Tuple[Instrument, ...] = (
         "outside the service layer; single-engine runs\n"
         "report ``wall_latencies`` instead (which excludes\n"
         "queueing and shipping)",
-    ),
-    Instrument(
-        "batch_sizes", "histogram", "batch_sizes", "engine",
-        "events per process_batch() chunk",
-        "mergeable histogram of events per\n"
-        "``process_batch`` chunk (the same log-bucketed\n"
-        "structure as ``detection_latency``); empty on the\n"
-        "per-event path",
     ),
     Instrument(
         "watermark_lag", "histogram", "watermark_lag", "disorder",

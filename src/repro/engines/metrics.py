@@ -200,8 +200,6 @@ class EngineMetrics:
     predicate_kernel_calls: int = 0
     kernels_generated: int = 0
     codegen_cache_hits: int = 0
-    batches_processed: int = 0
-    batch_probe_fanout: int = 0
     pm_expired: int = 0
     events_reordered: int = 0
     events_late_dropped: int = 0
@@ -224,7 +222,6 @@ class EngineMetrics:
     latencies: list = field(default_factory=list)
     wall_latencies: list = field(default_factory=list)
     detection_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    batch_sizes: LatencyHistogram = field(default_factory=LatencyHistogram)
     watermark_lag: LatencyHistogram = field(default_factory=LatencyHistogram)
 
     # -- updates ------------------------------------------------------------
@@ -326,12 +323,6 @@ class EngineMetrics:
             codegen_cache_hits=(
                 self.codegen_cache_hits + other.codegen_cache_hits
             ),
-            batches_processed=(
-                self.batches_processed + other.batches_processed
-            ),
-            batch_probe_fanout=(
-                self.batch_probe_fanout + other.batch_probe_fanout
-            ),
             pm_expired=self.pm_expired + other.pm_expired,
             events_reordered=self.events_reordered + other.events_reordered,
             events_late_dropped=(
@@ -382,7 +373,6 @@ class EngineMetrics:
         merged.detection_latency = self.detection_latency.merge(
             other.detection_latency
         )
-        merged.batch_sizes = self.batch_sizes.merge(other.batch_sizes)
         merged.watermark_lag = self.watermark_lag.merge(other.watermark_lag)
         return merged
 
@@ -405,6 +395,5 @@ class EngineMetrics:
         for key, prop in DERIVED_SUMMARY:
             out[key] = getattr(self, prop)
         out["detection_latency"] = self.detection_latency.to_dict()
-        out["batch_sizes"] = self.batch_sizes.to_dict()
         out["watermark_lag"] = self.watermark_lag.to_dict()
         return out

@@ -31,10 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..events import Event
-from ..patterns.compile import (
-    compile_event_batch_kernel,
-    compile_extension_kernel,
-)
+from ..patterns.compile import compile_extension_kernel
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from .base import INTERPRET, SELECTION_ANY, BaseEngine
@@ -162,7 +159,6 @@ class NFAEngine(BaseEngine):
         # _ext_resid[p] is the same minus bucket-guaranteed equalities.
         self._ext_full: dict[int, object] = {}
         self._ext_resid: dict[int, object] = {}
-        self._admit_batch_kernels: dict[str, object] = {}
         if compiled:
             self._recompile_kernels()
 
@@ -176,7 +172,6 @@ class NFAEngine(BaseEngine):
         new element is checked as a scalar either way).
         """
         super()._recompile_kernels()
-        self._admit_batch_kernels = {}
         for position in range(self._n):
             variable = self._order[position]
             bound = set(self._order[: position + 1])
@@ -204,20 +199,6 @@ class NFAEngine(BaseEngine):
                     tracker=self._sel_tracker,
                     sel_key_by_pred=self._sel_key_by_pred,
                     codegen=self.codegen,
-                )
-            unary = tuple(self._conditions.filters_for(variable))
-            if unary:
-                # Buffer admission charges nothing (count="none"), and
-                # the batch path is only taken without a tracker, so
-                # these are always the observation-free variants.
-                self._admit_batch_kernels[variable] = (
-                    compile_event_batch_kernel(
-                        unary,
-                        variable,
-                        self.metrics,
-                        count="none",
-                        codegen=self.codegen,
-                    )
                 )
 
     def _kernel_for(self, position: int, residual: bool):
@@ -265,159 +246,6 @@ class NFAEngine(BaseEngine):
                     self._traced_arrival(variable, position, event, stat)
                 )
 
-        matches.extend(self._cascade(created))
-        self._note_state()
-        return matches
-
-    # -- batch execution --------------------------------------------------------
-    def _process_batch_events(self, events: list[Event]) -> list[Match]:
-        """Batched event loop: admission filters run once per
-        (variable, type) chunk, and maximal runs of events that all
-        admit to the same single non-Kleene variable at an indexed
-        chain position ≥ 1 resolve their state-store probes in one
-        :meth:`~repro.engines.stores.PartialMatchStore.probe_batch`
-        pass.  State ``p`` only ever receives instances from binding
-        ``order[p-1]`` — never from a pure-``order[p]`` run — so the
-        probed store is frozen for the whole run; candidates expiring
-        mid-run are span-rejected by :meth:`_check_extension` before
-        any kernel charge.  Trackers/tracers fall back per event.
-        """
-        if (
-            len(events) == 1
-            or not self.compiled
-            or self._tracer is not None
-            or self._sel_tracker is not None
-        ):
-            return super()._process_batch_events(events)
-        admitted = self._batch_admissible(events)
-        matches: list[Match] = []
-        n = len(events)
-        i = 0
-        while i < n:
-            adm = admitted[i]
-            if len(adm) == 1 and self._batchable_variable(adm[0]):
-                j = i + 1
-                while j < n and admitted[j] == adm:
-                    j += 1
-                if j - i >= 2:
-                    matches.extend(self._process_run(events[i:j], adm[0]))
-                    i = j
-                    continue
-            matches.extend(self._process_preadmitted(events[i], adm))
-            i += 1
-        return matches
-
-    def _batch_admissible(self, events: list[Event]) -> list[list[str]]:
-        """Admission (type + unary filters) for a whole chunk, without
-        the buffer insertion — events enter their buffers per event via
-        :meth:`~repro.engines.buffers.VariableBuffer.admit` so arrival
-        order inside each buffer is untouched."""
-        by_type: dict[str, list[int]] = {}
-        for pos, event in enumerate(events):
-            by_type.setdefault(event.type, []).append(pos)
-        admitted: list[list[str]] = [[] for _ in events]
-        for variable, type_name in self.decomposed.positives:
-            positions = by_type.get(type_name)
-            if not positions:
-                continue
-            kernel = self._admit_batch_kernels.get(variable)
-            if kernel is None:
-                for pos in positions:
-                    admitted[pos].append(variable)
-            else:
-                chunk = [events[pos] for pos in positions]
-                for pos, passed in zip(positions, kernel(chunk)):
-                    if passed:
-                        admitted[pos].append(variable)
-        return admitted
-
-    def _batchable_variable(self, variable: str) -> bool:
-        if self._consuming or variable in self._kleene:
-            return False
-        position = self._position[variable]
-        if position == 0 or position not in self._state_probe:
-            return False
-        # Hash-keyed probes only: a pure range index has one implicit
-        # bucket, so a grouped probe pass has nothing to share and the
-        # eager candidate materialization just costs allocations.
-        return self._state_probe[position][1] is not None
-
-    def _process_run(
-        self, events: list[Event], variable: str
-    ) -> list[Match]:
-        """Process a maximal same-variable run with one batched probe
-        pass against the (frozen) state store of its chain position."""
-        position = self._position[variable]
-        state = self._states[position]
-        buffer = self._buffers[variable]
-        index_id, ev_key, ev_val, _range_pred = self._state_probe[position]
-        # None = degrade to a full-state scan; a list is the probe
-        # result (possibly empty for an EMPTY_RANGE bound).
-        entries: list = [None] * len(events)
-        probes: list[tuple] = []
-        probe_positions: list[int] = []
-        for pos, event in enumerate(events):
-            key = () if ev_key is None else probe_key(ev_key, event)
-            if key is None:
-                continue  # unhashable/missing probe key: scan fallback
-            bound = NO_BOUND
-            if ev_val is not None:
-                bound = range_probe_value(ev_val, event)
-                if bound is EMPTY_RANGE:
-                    entries[pos] = ()
-                    continue
-            probe_positions.append(pos)
-            probes.append((key, event.seq, bound))
-        if probes:
-            results = state.probe_batch(index_id, probes)
-            for pos, candidates in zip(probe_positions, results):
-                entries[pos] = candidates
-        scan_kernel = self._kernel_for(position, residual=False)
-        matches: list[Match] = []
-        for pos, event in enumerate(events):
-            matches.extend(self._advance_time(event))
-            self._expire_instances()
-            self._offer_negations(event)
-            buffer.admit(event)
-            candidates = entries[pos]
-            if candidates is None:
-                candidates, preds, kernel = iter(state), None, scan_kernel
-            else:
-                # Re-decided per event: expiry can drain the index
-                # overflow mid-run, flipping ``index_exact`` on exactly
-                # where the per-event path would switch to residuals.
-                exact = ev_key is not None and state.index_exact(index_id)
-                preds = self._residual_preds[variable] if exact else None
-                kernel = self._kernel_for(position, residual=exact)
-            created: list[tuple[PartialMatch, int]] = []
-            for pm in candidates:
-                if self._check_extension(pm, variable, event, preds, kernel):
-                    created.append(
-                        (self._bind(pm, variable, event), position + 1)
-                    )
-            matches.extend(self._cascade(created))
-            self._note_state()
-        return matches
-
-    def _process_preadmitted(
-        self, event: Event, admitted: list[str]
-    ) -> list[Match]:
-        """Per-event loop body with the admission decision precomputed
-        (tracer-free by construction)."""
-        matches = self._advance_time(event)
-        self._expire_instances()
-        self._offer_negations(event)
-        for variable in admitted:
-            self._buffers[variable].admit(event)
-        if not admitted:
-            self._note_state()
-            return matches
-        created: list[tuple[PartialMatch, int]] = []
-        for variable in admitted:
-            position = self._position[variable]
-            created.extend(
-                self._arrival_extensions(variable, position, event)
-            )
         matches.extend(self._cascade(created))
         self._note_state()
         return matches

@@ -696,81 +696,6 @@ class PartialMatchStore:
             and bucket.dead * 2 >= len(bucket.pms)
         ):
             self._sweep_bucket(bucket)
-        yield from self._resolved_candidates(
-            index, bucket, trigger_seq, bound, on_excluded
-        )
-
-    def probe_batch(
-        self,
-        index_id: int,
-        probes: List[tuple],
-        on_excluded=None,
-    ) -> List[List[PartialMatch]]:
-        """One grouped probe pass: per-probe candidate lists for a batch.
-
-        ``probes`` is a list of ``(key, trigger_seq, bound)`` tuples;
-        the result aligns positionally and each entry is exactly
-        ``list(probe(index_id, key, trigger_seq, bound))`` — metrics
-        charges included.  Probes sharing an equality key resolve their
-        bucket (and run its tombstone sweep check) once; the per-probe
-        ``trigger_seq`` bisect then works bucket-by-bucket instead of
-        hopping between buckets, which is what makes large same-key
-        event runs cheap.  Only safe against a store that receives no
-        inserts between the batched probes — the callers' same-trigger
-        discipline (see :meth:`~repro.engines.tree.TreeEngine`) provides
-        that.
-        """
-        index = self._indexes[index_id]
-        metrics = self.metrics
-        counted = index.key_of is not None
-        results: List[Optional[List[PartialMatch]]] = [None] * len(probes)
-        groups: dict = {}
-        for position, (key, trigger_seq, bound) in enumerate(probes):
-            try:
-                group = groups.get(key)
-            except TypeError:
-                # Unhashable probe key: the scan fallback, individually.
-                results[position] = list(
-                    self.probe(
-                        index_id, key, trigger_seq, bound, on_excluded
-                    )
-                )
-                continue
-            if group is None:
-                groups[key] = [position]
-            else:
-                group.append(position)
-        for key, positions in groups.items():
-            bucket = index.buckets.get(key)
-            if metrics is not None and counted:
-                metrics.index_probes += len(positions)
-                if bucket is None:
-                    metrics.index_misses += len(positions)
-                else:
-                    metrics.index_hits += len(positions)
-            if (
-                bucket is not None
-                and bucket.dead >= _BUCKET_MIN_DEAD
-                and bucket.dead * 2 >= len(bucket.pms)
-            ):
-                self._sweep_bucket(bucket)
-            for position in positions:
-                _, trigger_seq, bound = probes[position]
-                results[position] = list(
-                    self._resolved_candidates(
-                        index, bucket, trigger_seq, bound, on_excluded
-                    )
-                )
-        if metrics is not None:
-            metrics.batch_probe_fanout += len(probes)
-        return results
-
-    def _resolved_candidates(
-        self, index: _Index, bucket: Optional[_Bucket], trigger_seq: int,
-        bound, on_excluded=None,
-    ) -> Iterator[PartialMatch]:
-        """Candidates of one probe once its bucket is resolved (shared by
-        :meth:`probe` and :meth:`probe_batch`)."""
         ids = self._ids
         if (
             bucket is not None

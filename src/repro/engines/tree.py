@@ -34,7 +34,6 @@ from typing import Optional
 from ..errors import EngineError
 from ..events import Event
 from ..patterns.compile import (
-    compile_event_batch_kernel,
     compile_event_kernel,
     compile_extension_kernel,
     compile_merge_kernel,
@@ -146,7 +145,6 @@ class TreeEngine(BaseEngine):
         self._nodes: list[_RuntimeNode] = []
         self._leaf_for: dict[str, _RuntimeNode] = {}
         self._admit_kernels: dict[str, object] = {}
-        self._admit_batch_kernels: dict[str, object] = {}
         self._root = self._build(plan.root, None)
         self._attach_negation_specs()
         if compiled:
@@ -248,25 +246,11 @@ class TreeEngine(BaseEngine):
             codegen=self.codegen,
         )
         self._admit_kernels = {}
-        self._admit_batch_kernels = {}
         for variable, _type in self.decomposed.positives:
             filters = self._conditions.filters_for(variable)
             if filters:
                 self._admit_kernels[variable] = compile_event_kernel(
                     filters, variable, self.metrics, count="all", **common
-                )
-                # Batch admission is only taken without a tracker
-                # attached (observation sequences stay per-event), so
-                # the batch kernels are always the observation-free
-                # variants.
-                self._admit_batch_kernels[variable] = (
-                    compile_event_batch_kernel(
-                        filters,
-                        variable,
-                        self.metrics,
-                        count="all",
-                        codegen=self.codegen,
-                    )
                 )
         for node in self._nodes:
             if node.is_leaf:
@@ -376,206 +360,6 @@ class TreeEngine(BaseEngine):
             else:
                 queue.append((PartialMatch.singleton(variable, event), node))
 
-        matches.extend(self._cascade(queue))
-        self._note_state()
-        return matches
-
-    # -- batch execution --------------------------------------------------------
-    def _process_batch_events(self, events: list[Event]) -> list[Match]:
-        """Batched event loop: admission is precomputed for the whole
-        chunk with the batch kernels, and maximal runs of events that
-        all admit to the same single indexed, non-Kleene variable
-        resolve their first-level sibling probes in one
-        :meth:`~repro.engines.stores.PartialMatchStore.probe_batch`
-        pass.  The match stream is identical to the per-event loop:
-        stores probed by a run are off the run variable's leaf-to-root
-        path (frozen for the whole run), and candidates that expire
-        mid-run are window-rejected by :meth:`_try_merge` before any
-        kernel charge.  Trackers and tracers need per-event observation
-        sequences, so either being attached falls back to the per-event
-        loop.
-        """
-        if (
-            len(events) == 1
-            or not self.compiled
-            or self._tracer is not None
-            or self._sel_tracker is not None
-        ):
-            return super()._process_batch_events(events)
-        admitted = self._batch_admissible(events)
-        matches: list[Match] = []
-        n = len(events)
-        i = 0
-        while i < n:
-            adm = admitted[i]
-            if len(adm) == 1 and self._batchable_variable(adm[0]):
-                j = i + 1
-                while j < n and admitted[j] == adm:
-                    j += 1
-                if j - i >= 2:
-                    matches.extend(self._process_run(events[i:j], adm[0]))
-                    i = j
-                    continue
-            matches.extend(self._process_preadmitted(events[i], adm))
-            i += 1
-        return matches
-
-    def _batch_admissible(self, events: list[Event]) -> list[list[str]]:
-        """Admission for a whole chunk — one batch-kernel call per
-        (variable, event type) instead of one kernel call per event."""
-        by_type: dict[str, list[int]] = {}
-        for pos, event in enumerate(events):
-            by_type.setdefault(event.type, []).append(pos)
-        admitted: list[list[str]] = [[] for _ in events]
-        for variable, type_name in self.decomposed.positives:
-            positions = by_type.get(type_name)
-            if not positions:
-                continue
-            kernel = self._admit_batch_kernels.get(variable)
-            if kernel is None:
-                for pos in positions:
-                    admitted[pos].append(variable)
-            else:
-                chunk = [events[pos] for pos in positions]
-                for pos, passed in zip(positions, kernel(chunk)):
-                    if passed:
-                        admitted[pos].append(variable)
-        return admitted
-
-    def _batchable_variable(self, variable: str) -> bool:
-        """A run of ``variable`` seeds can batch its first-level probes
-        when the leaf has an indexed access path into a sibling store
-        and nothing in the run can mutate that store: non-Kleene (no
-        absorptions into the leaf's own store) and non-consuming (no
-        mid-run purges)."""
-        if self._consuming or variable in self._kleene:
-            return False
-        node = self._leaf_for[variable]
-        # Hash-keyed probes only: a pure range index has one implicit
-        # bucket, so a grouped probe pass has nothing to share and the
-        # eager candidate materialization just costs allocations.
-        return (
-            node.probe_index is not None
-            and node.probe_key_of is not None
-            and node.sibling is not None
-        )
-
-    def _process_run(
-        self, events: list[Event], variable: str
-    ) -> list[Match]:
-        """Process a maximal same-variable run with one batched probe
-        pass against the (frozen) sibling store."""
-        node = self._leaf_for[variable]
-        sibling = node.sibling
-        parent = node.parent
-        key_of = node.probe_key_of
-        bound_of = node.probe_bound_of
-        consumed = self._consumed
-        seeds = [PartialMatch.singleton(variable, e) for e in events]
-        # None = degrade to a per-event trigger-bounded scan; a list is
-        # the probe result (possibly empty for an EMPTY_RANGE bound).
-        entries: list = [None] * len(events)
-        probes: list[tuple] = []
-        probe_positions: list[int] = []
-        for pos, pm in enumerate(seeds):
-            if events[pos].seq in consumed:
-                entries[pos] = ()
-                continue
-            key = () if key_of is None else probe_key(key_of, pm.bindings)
-            if key is None:
-                continue  # unhashable/missing probe key: scan fallback
-            bound = NO_BOUND
-            if bound_of is not None:
-                bound = range_probe_value(bound_of, pm.bindings)
-                if bound is EMPTY_RANGE:
-                    entries[pos] = ()
-                    continue
-            probe_positions.append(pos)
-            probes.append((key, pm.trigger_seq, bound))
-        if probes:
-            results = sibling.store.probe_batch(node.probe_index, probes)
-            for pos, candidates in zip(probe_positions, results):
-                entries[pos] = candidates
-        matches: list[Match] = []
-        for pos, event in enumerate(events):
-            matches.extend(self._advance_time(event))
-            self._expire_instances()
-            self._offer_negations(event)
-            if event.seq in consumed:
-                self._note_state()
-                continue
-            candidates = entries[pos]
-            if candidates is None:
-                # Scan fallback (unhashable probe key): candidates are
-                # not bucket-guaranteed, so the extracted equalities
-                # must be evaluated like any other predicate.
-                candidates = sibling.store.iter_before(seeds[pos].trigger_seq)
-                predicates = parent.cross_predicates
-                kernel = node.merge_full
-            else:
-                # Residual-vs-full is re-decided per event: expiry can
-                # drain the index overflow mid-run, flipping
-                # ``index_exact`` on at the same point the per-event
-                # path would switch to residuals.
-                exact = key_of is not None and sibling.store.index_exact(
-                    node.probe_index
-                )
-                predicates = (
-                    parent.residual_predicates if exact
-                    else parent.cross_predicates
-                )
-                kernel = node.merge_resid if exact else node.merge_full
-            matches.extend(
-                self._seed_cascade(
-                    seeds[pos], node, candidates, predicates, kernel
-                )
-            )
-            self._note_state()
-        return matches
-
-    def _seed_cascade(
-        self, pm: PartialMatch, node: _RuntimeNode, candidates,
-        predicates, kernel,
-    ) -> list[Match]:
-        """Cascade one run seed whose first-level candidates are already
-        resolved; deeper levels pair against live (off-path) stores."""
-        self.metrics.partial_matches_created += 1
-        if node.negation_specs and not self._node_negation_ok(pm, node):
-            return []
-        node.store.insert(pm)
-        parent = node.parent
-        created: list[tuple[PartialMatch, _RuntimeNode]] = []
-        for other in candidates:
-            merged = self._try_merge(pm, other, parent, predicates, kernel)
-            if merged is not None:
-                created.append((merged, parent))
-        return self._cascade(created)
-
-    def _process_preadmitted(
-        self, event: Event, admitted: list[str]
-    ) -> list[Match]:
-        """Per-event loop body with the admission decision precomputed
-        (tracer-free by construction — the batch path falls back to
-        :meth:`process` whenever one is attached)."""
-        matches = self._advance_time(event)
-        self._expire_instances()
-        self._offer_negations(event)
-        if not admitted:
-            self._note_state()
-            return matches
-        queue: list[tuple[PartialMatch, _RuntimeNode]] = []
-        for variable in admitted:
-            node = self._leaf_for[variable]
-            if event.seq in self._consumed:
-                continue
-            if variable in self._kleene:
-                queue.append(
-                    (PartialMatch.kleene_singleton(variable, event), node)
-                )
-                if not self._consuming:
-                    queue.extend(self._absorptions(node, variable, event))
-            else:
-                queue.append((PartialMatch.singleton(variable, event), node))
         matches.extend(self._cascade(queue))
         self._note_state()
         return matches

@@ -57,11 +57,7 @@ from ..engines.stores import (
     range_key_pairs,
     range_probe_value,
 )
-from ..patterns.compile import (
-    compile_event_batch_kernel,
-    compile_event_kernel,
-    compile_merge_kernel,
-)
+from ..patterns.compile import compile_event_kernel, compile_merge_kernel
 from ..events import Event, Stream
 from .sharing import QueryRoot, SharedJoin, SharedLeaf, SharedPlan
 
@@ -232,7 +228,7 @@ class _RuntimeNode:
 
     __slots__ = (
         "spec", "store", "parents", "states", "kleene", "admit_kernel",
-        "admit_batch_kernel", "tstat",
+        "tstat",
     )
 
     def __init__(self, spec, metrics: EngineMetrics) -> None:
@@ -246,8 +242,6 @@ class _RuntimeNode:
         self.kleene: frozenset = frozenset()
         # Compiled leaf admission kernel (None = no filters).
         self.admit_kernel = None
-        # Batched admission variant (one call per event chunk).
-        self.admit_batch_kernel = None
         # Per-node trace counters (repro.observe); None = no tracer.
         self.tstat = None
 
@@ -331,13 +325,6 @@ class MultiQueryEngine:
             spec = leaf.spec
             if spec.filters:
                 leaf.admit_kernel = compile_event_kernel(
-                    spec.filters,
-                    spec.variable,
-                    self.metrics,
-                    count="all",
-                    codegen=self.codegen,
-                )
-                leaf.admit_batch_kernel = compile_event_batch_kernel(
                     spec.filters,
                     spec.variable,
                     self.metrics,
@@ -536,105 +523,6 @@ class MultiQueryEngine:
             matches.extend(self.process(event))
         matches.extend(self.finalize())
         return group_by_query(self.plan.query_names, matches)
-
-    def process_batch(self, events) -> List[Match]:
-        """Feed a chunk of events; identical match stream to per-event
-        :meth:`process` calls.  Shared-leaf admission runs once per
-        (leaf, event type) chunk through the batch kernels; everything
-        else — expiry, pending release, cascades — stays per event in
-        arrival order.  A tracer needs per-event attribution, so one
-        being attached falls back to the per-event loop.
-        """
-        if not isinstance(events, list):
-            events = list(events)
-        if not events:
-            return []
-        self.metrics.batches_processed += 1
-        self.metrics.batch_sizes.record(len(events))
-        if (
-            len(events) == 1
-            or not self.compiled
-            or self._tracer is not None
-        ):
-            matches: List[Match] = []
-            for event in events:
-                matches.extend(self.process(event))
-            return matches
-        admitted = self._batch_admissible(events)
-        matches = []
-        for event, leaves in zip(events, admitted):
-            matches.extend(self._process_preadmitted(event, leaves))
-        return matches
-
-    def run_batched(
-        self, stream: Stream, batch_size: int = 256
-    ) -> Dict[str, List[Match]]:
-        """Chunked :meth:`run` (same per-query lists, same order)."""
-        matches: List[Match] = []
-        chunk: List[Event] = []
-        for event in stream:
-            chunk.append(event)
-            if len(chunk) >= batch_size:
-                matches.extend(self.process_batch(chunk))
-                chunk = []
-        if chunk:
-            matches.extend(self.process_batch(chunk))
-        matches.extend(self.finalize())
-        return group_by_query(self.plan.query_names, matches)
-
-    def _batch_admissible(self, events: List[Event]) -> List[list]:
-        """Admission for a whole chunk — one batch-kernel call per
-        (shared leaf, event type) instead of one call per event."""
-        by_type: Dict[str, List[int]] = {}
-        for pos, event in enumerate(events):
-            by_type.setdefault(event.type, []).append(pos)
-        admitted: List[list] = [[] for _ in events]
-        for leaf in self._leaves:
-            spec = leaf.spec
-            positions = by_type.get(spec.event_type)
-            if not positions:
-                continue
-            kernel = leaf.admit_batch_kernel
-            if kernel is None:
-                for pos in positions:
-                    admitted[pos].append(leaf)
-            else:
-                chunk = [events[pos] for pos in positions]
-                for pos, passed in zip(positions, kernel(chunk)):
-                    if passed:
-                        admitted[pos].append(leaf)
-        return admitted
-
-    def _process_preadmitted(
-        self, event: Event, admitted_leaves: list
-    ) -> List[Match]:
-        """Per-event loop body with leaf admission precomputed
-        (tracer-free by construction)."""
-        self.metrics.events_processed += 1
-        self._event_wall_started = time.perf_counter()
-        self._now = event.timestamp
-        matches: List[Match] = []
-        for node in self._nodes:
-            node.store.expire(event.timestamp - node.spec.window)
-        for state in self._states:
-            matches.extend(state.advance(self._now, self))
-        for state in self._states:
-            state.offer(event)
-        queue: List[Tuple[PartialMatch, _RuntimeNode]] = []
-        for leaf in admitted_leaves:
-            spec = leaf.spec
-            if spec.kleene:
-                queue.append(
-                    (PartialMatch.kleene_singleton(spec.variable, event), leaf)
-                )
-                queue.extend(self._absorptions(leaf, event))
-            else:
-                queue.append(
-                    (PartialMatch.singleton(spec.variable, event), leaf)
-                )
-        matches.extend(self._cascade(queue))
-        self._note_state()
-        return matches
 
     def finalize(self) -> List[Match]:
         """Flush pending (trailing-negation) matches of every query."""

@@ -65,7 +65,14 @@ def _connected_sets(adjacent: Sequence[int]) -> bytearray:
 
 
 class DPLeftDeep(PlanGenerator):
-    """DP-LD: provably optimal order plan for the given cost model."""
+    """DP-LD: provably optimal order plan for the given cost model.
+
+    Ties: of equally cheap ways to end a set, the lowest-index
+    (first-declared) variable is placed last.  When every order ties
+    (equal rates, no predicates) the plan is the declaration order
+    reversed — ``d → c → b → a`` for ``AND(A a, B b, C c, D d)`` or its
+    ``SEQ``.
+    """
 
     name = "DP-LD"
     kind = ORDER
@@ -114,7 +121,14 @@ class DPLeftDeep(PlanGenerator):
 
 
 class DPBushy(PlanGenerator):
-    """DP-B: provably optimal bushy tree plan for the given cost model."""
+    """DP-B: provably optimal bushy tree plan for the given cost model.
+
+    Ties: the lowest variable of a set stays in the left half and right
+    halves are tried in descending bitmask order, so of equally cheap
+    splits the one whose right half has the largest mask (the
+    last-declared variables) wins — ``((a ⋈ b) ⋈ (c ⋈ d))`` for four
+    variables with equal rates and no predicates.
+    """
 
     name = "DP-B"
     kind = TREE

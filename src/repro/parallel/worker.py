@@ -264,37 +264,26 @@ class TaskRunner:
         return out
 
     def feed(self, entries: Sequence[Tuple[int, Event]]) -> None:
+        """Process one frame of entries, one event at a time.
+
+        Window slices are ownership-filtered per event and retired as
+        the feed passes them; single mode (key 0, nothing to filter)
+        collects the frame's matches once.
+        """
         engines = self._engines
+        window = self.task.mode == "window"
         self._fed = True
-        if self.task.mode == "window":
-            # Window slices evict per event (time-ordered hand-off), so
-            # they stay on the per-event path.
-            for key, event in entries:
-                engine = engines.get(key)
-                if engine is None:
-                    engine = self._build_engine(key)
-                self._collect(key, engine.process(event))
-                self._evict_passed(event.timestamp)
-            return
-        # Key/single shards: maximal same-key runs go through the batch
-        # path in one call (same matches, same order — see
-        # BaseEngine.process_batch), amortizing admission and probes.
-        entries = list(entries)
-        i, n = 0, len(entries)
-        while i < n:
-            key = entries[i][0]
-            j = i + 1
-            while j < n and entries[j][0] == key:
-                j += 1
+        matches: List[Match] = []
+        for key, event in entries:
             engine = engines.get(key)
             if engine is None:
                 engine = self._build_engine(key)
-            if j - i == 1:
-                self._collect(key, engine.process(entries[i][1]))
+            if window:
+                self._collect(key, engine.process(event))
+                self._evict_passed(event.timestamp)
             else:
-                chunk = [event for _, event in entries[i:j]]
-                self._collect(key, engine.process_batch(chunk))
-            i = j
+                matches.extend(engine.process(event))
+        self._collect(0, matches)
 
     def _build_engine(self, key: int):
         engine = self.task.spec.build()

@@ -4,7 +4,6 @@ and the compiled predicate kernels of the engine hot path."""
 from .compile import (
     clear_codegen_cache,
     codegen_cache_size,
-    compile_event_batch_kernel,
     compile_event_kernel,
     compile_extension_kernel,
     compile_merge_kernel,
@@ -37,7 +36,6 @@ from .transformations import (
 __all__ = [
     "clear_codegen_cache",
     "codegen_cache_size",
-    "compile_event_batch_kernel",
     "compile_event_kernel",
     "compile_extension_kernel",
     "compile_merge_kernel",

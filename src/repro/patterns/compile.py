@@ -482,17 +482,17 @@ def _predicate_shape(predicate: Comparison, resolver, event_name, consts):
     return ("kl_one", op, tup, attr, lexpr, False)
 
 
-def _fail_lines(indent: str, count: str, rank: int, action: str) -> list:
+def _fail_lines(indent: str, count: str, rank: int) -> list:
     """Failure epilogue of predicate ``rank`` (1-based): charge the
-    short-circuit count in ``"each"`` mode, then fail via ``action``."""
+    short-circuit count in ``"each"`` mode, then return False."""
     lines = []
     if count == "each":
         lines.append(f"{indent}_M.predicate_evaluations += {rank}")
-    lines.append(f"{indent}{action}")
+    lines.append(f"{indent}return False")
     return lines
 
 
-def _shape_lines(shape, i, indent, count, action) -> list:
+def _shape_lines(shape, i, indent, count) -> list:
     """Straight-line body of one predicate for the untracked kernel.
 
     Mirrors the closure shapes of :func:`_compile_comparison` exactly:
@@ -505,14 +505,14 @@ def _shape_lines(shape, i, indent, count, action) -> list:
         _, op, lexpr, rexpr = shape
         return [
             f"{indent}if not ({lexpr} {op} {rexpr}):",
-            *_fail_lines(sub, count, i + 1, action),
+            *_fail_lines(sub, count, i + 1),
         ]
     if kind == "kl_same":
         _, op, tup, lattr, rattr = shape
         return [
             f"{indent}for _e in {tup}:",
             f"{sub}if not (_e[{lattr!r}] {op} _e[{rattr!r}]):",
-            *_fail_lines(sub + "    ", count, i + 1, action),
+            *_fail_lines(sub + "    ", count, i + 1),
         ]
     if kind == "kl_one":
         _, op, tup, attr, other, kleene_left = shape
@@ -527,7 +527,7 @@ def _shape_lines(shape, i, indent, count, action) -> list:
             f"{sub}_o{i} = {other}",
             f"{sub}for _e in _t{i}:",
             f"{sub}    if not ({test}):",
-            *_fail_lines(sub + "        ", count, i + 1, action),
+            *_fail_lines(sub + "        ", count, i + 1),
         ]
     _, op, ltup, lattr, rtup, rattr = shape
     return [
@@ -538,7 +538,7 @@ def _shape_lines(shape, i, indent, count, action) -> list:
         f"{sub}    _v{i} = _e[{lattr!r}]",
         f"{sub}    for _f in _u{i}:",
         f"{sub}        if not (_v{i} {op} _f[{rattr!r}]):",
-        *_fail_lines(sub + "            ", count, i + 1, action),
+        *_fail_lines(sub + "            ", count, i + 1),
     ]
 
 
@@ -626,7 +626,7 @@ def _gen_untracked(shapes, count, args, const_names, total) -> str:
     for i, shape in enumerate(shapes):
         if count == "each" and i:
             lines.append(f"        _n = {i + 1}")
-        lines.extend(_shape_lines(shape, i, "        ", count, "return False"))
+        lines.extend(_shape_lines(shape, i, "        ", count))
     lines.append(f"    except {_EXCEPTS}:")
     if count == "each":
         lines.append("        _M.predicate_evaluations += _n")
@@ -660,49 +660,6 @@ def _gen_tracked(shapes, count, args, const_names, key_flags, total) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gen_event_batch(shapes, count, const_names, total) -> str:
-    """Vectorized unary admission: the per-event loop lives inside the
-    generated function, so a whole chunk runs with zero Python call
-    overhead per event.  Event kernels never see Kleene bindings, so
-    every shape is scalar and the fail action is a plain ``break`` out
-    of the per-event ``while``."""
-    params = ", ".join(
-        ["events", "_M=_M", *(f"{n}={n}" for n in const_names)]
-    )
-    lines = [
-        f"def kernel({params}):",
-        "    _out = []",
-        "    _ap = _out.append",
-        "    for event in events:",
-        "        _M.predicate_kernel_calls += 1",
-    ]
-    if count == "all":
-        lines.append(f"        _M.predicate_evaluations += {total}")
-    lines.append("        _ok = False")
-    if count == "each":
-        lines.append("        _n = 1")
-    lines.append("        try:")
-    lines.append("            while True:")
-    for i, shape in enumerate(shapes):
-        if count == "each" and i:
-            lines.append(f"                _n = {i + 1}")
-        lines.extend(
-            _shape_lines(shape, i, "                ", count, "break")
-        )
-    if count == "each":
-        lines.append(f"                _M.predicate_evaluations += {total}")
-    lines.append("                _ok = True")
-    lines.append("                break")
-    lines.append(f"        except {_EXCEPTS}:")
-    if count == "each":
-        lines.append("            _M.predicate_evaluations += _n")
-    else:
-        lines.append("            pass")
-    lines.append("        _ap(_ok)")
-    lines.append("    return _out")
-    return "\n".join(lines) + "\n"
-
-
 def _maybe_dump(source: str) -> None:
     directory = os.environ.get("REPRO_DUMP_KERNELS")
     if not directory:
@@ -720,9 +677,8 @@ def _generate(
 ) -> Kernel:
     """Render, compile (or fetch from cache) and instantiate one kernel.
 
-    ``form`` is ``"pair"`` (``kernel(left, right)``), ``"event"``
-    (``kernel(event)``) or ``"event_batch"``
-    (``kernel(events) -> list[bool]``).
+    ``form`` is ``"pair"`` (``kernel(left, right)``) or ``"event"``
+    (``kernel(event)``).
     """
     consts: dict = {}
     event_name = "right" if form == "pair" else "event"
@@ -732,9 +688,7 @@ def _generate(
     total = len(preds)
     args = ["left", "right"] if form == "pair" else ["event"]
     keys = [(sel_key_by_pred or {}).get(id(p)) for p in preds]
-    if form == "event_batch":
-        source = _gen_event_batch(shapes, count, list(consts), total)
-    elif tracker is not None:
+    if tracker is not None:
         key_flags = [key is not None for key in keys]
         source = _gen_tracked(
             shapes, count, args, list(consts), key_flags, total
@@ -889,44 +843,3 @@ def compile_event_kernel(
 
     return event_kernel
 
-
-def compile_event_batch_kernel(
-    predicates: Iterable[Predicate],
-    variable: str,
-    metrics,
-    sel_key_by_pred: Optional[dict] = None,
-    count: str = "each",
-    codegen: bool = True,
-) -> Optional[Callable[[Iterable[object]], list]]:
-    """Vectorized admission kernel: ``kernel(events) -> list[bool]``.
-
-    Charges metrics per event exactly like calling the unary kernel in
-    a loop; with codegen the loop itself is generated, so a chunk runs
-    with no per-event Python call overhead.  Observing runs stay on the
-    per-event path (engines disable batch admission under a tracker),
-    so there is no tracked variant.
-    """
-    if count not in COUNT_MODES:
-        raise PatternError(f"unknown count mode {count!r}")
-    preds = list(predicates)
-    if not preds:
-        return None
-    if codegen and all(_specializable(p) for p in preds):
-        resolver = _Resolver({variable: _EVENT}, {}, frozenset())
-        return _generate(
-            preds, resolver, metrics, count, None, sel_key_by_pred, "event_batch"
-        )
-    unary = compile_event_kernel(
-        preds,
-        variable,
-        metrics,
-        tracker=None,
-        sel_key_by_pred=sel_key_by_pred,
-        count=count,
-        codegen=codegen,
-    )
-
-    def batch_kernel(events, _k=unary):
-        return [_k(event) for event in events]
-
-    return batch_kernel

@@ -387,27 +387,3 @@ def test_dump_kernels_hook_writes_sources(tmp_path, monkeypatch):
     source = dumped[0].read_text()
     assert "def kernel" in source
 
-
-@pytest.mark.parametrize("codegen", (False, True), ids=["closure", "codegen"])
-@pytest.mark.parametrize("count", ("each", "all", "none"))
-def test_event_batch_kernel_matches_per_event(count, codegen):
-    """The admission batch kernel must agree with the per-event kernel
-    on every event of a chunk, and charge the same per-event totals."""
-    from repro.patterns import compile_event_batch_kernel
-
-    rng = random.Random(11)
-    predicates = rand_predicates(rng, ("a",), 3)
-    single_metrics = EngineMetrics()
-    single = compile_event_kernel(
-        predicates, "a", single_metrics, count=count, codegen=codegen
-    )
-    batch_metrics = EngineMetrics()
-    batch = compile_event_batch_kernel(
-        predicates, "a", batch_metrics, count=count, codegen=codegen
-    )
-    events = [rand_event(rng, seq) for seq in range(40)]
-    assert batch(events) == [bool(single(e)) for e in events]
-    assert (
-        batch_metrics.predicate_evaluations
-        == single_metrics.predicate_evaluations
-    )

@@ -29,6 +29,7 @@ from repro import (
     plan_pattern,
     run_workload,
 )
+from repro.engines.factory import DisjunctionEngine
 from repro.events import Event
 from repro.parallel import (
     KeyPartitioner,
@@ -74,6 +75,10 @@ THETA = "PATTERN SEQ(A a, B b, C c) WHERE a.v < b.v AND b.v < c.v WITHIN 0.9"
 KLEENE = "PATTERN SEQ(A a, KL(B b), C c) WHERE a.v < c.v WITHIN 0.8"
 NEG_TRAIL = "PATTERN SEQ(A a, B b, NOT(D d)) WHERE a.v < b.v WITHIN 1.2"
 NEG_LEAD = "PATTERN SEQ(NOT(D d), A a, C c) WITHIN 0.9"
+DISJUNCTION = (
+    "PATTERN OR(SEQ(A a, B b), SEQ(A c, C d)) "
+    "WHERE a.k = b.k AND c.k = d.k WITHIN 1.0"
+)
 
 #: GREEDY yields an order plan (lazy NFA); ZSTREAM a tree plan.
 RUNTIMES = ("GREEDY", "ZSTREAM")
@@ -98,6 +103,27 @@ class TestKeyEquivalence:
         assert executor.partitioner_name == "key"
         # Key routing never duplicates, so no boundary handling happens.
         assert executor.metrics.boundary_duplicates_dropped == 0
+
+    @pytest.mark.parametrize("algorithm", RUNTIMES)
+    @pytest.mark.parametrize("partitioner", ("key", "window"))
+    def test_disjunction_identical_to_serial(self, algorithm, partitioner):
+        # Each worker hosts a DisjunctionEngine (one engine per DNF
+        # disjunct) and feeds it every frame event by event.
+        stream = keyed_stream(31)
+        planned = plans_for(DISJUNCTION, stream, algorithm)
+        engine = build_engines(planned)
+        assert isinstance(engine, DisjunctionEngine)
+        serial = engine.run(stream)
+        assert serial
+        executor = ParallelExecutor(
+            planned,
+            ParallelConfig(
+                workers=2, partitioner=partitioner, backend="serial",
+                batch_size=16,
+            ),
+        )
+        assert_identical(executor.run(stream), serial)
+        assert executor.partitioner_name == partitioner
 
     def test_auto_picks_key_for_covered_pattern(self):
         stream = keyed_stream(7)

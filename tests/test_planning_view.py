@@ -3,7 +3,8 @@
 * the view's prices equal the documented string/``frozenset`` primitives
   for every built-in model and for the generic adapter;
 * DP-LD / DP-B rewritten over bitmasks still return the exhaustive
-  optimum, with and without cross products;
+  optimum, with and without cross products, and break ties by
+  declaration index;
 * a model that overrides a primitive gets plans priced by its override;
 * set-keyed prices, and so plans, do not depend on ``PYTHONHASHSEED``;
 * the heuristic orders on fig17's 22-way instance are the recorded ones.
@@ -257,6 +258,24 @@ class TestDynamicProgrammingIsExhaustive:
         if not allow_cartesian:
             assert order_avoids_cross_products(order.variables, stats)
             assert tree_avoids_cross_products(tree, stats)
+
+    @pytest.mark.parametrize("operator", ("AND", "SEQ"))
+    def test_ties_break_by_declaration_index(self, operator):
+        # Equal rates, no predicates: DP-LD places the lowest-index
+        # variable last on every tie, and DP-B keeps the split whose
+        # right half has the largest bitmask.
+        d = decompose(
+            parse_pattern(f"PATTERN {operator}(A a, B b, C c, D d) WITHIN 5")
+        )
+        variables = d.positive_variables
+        stats = PatternStatistics(
+            variables, 5.0, {v: 1.0 for v in variables}, {}
+        )
+        model = ThroughputCostModel()
+        order = make_optimizer("DP-LD").generate(d, stats, model)
+        assert order.variables == ("d", "c", "b", "a")
+        tree = make_optimizer("DP-B").generate(d, stats, model)
+        assert repr(tree) == "TreePlan(((a ⋈ b) ⋈ (c ⋈ d)))"
 
 
 # -- overrides are honoured ------------------------------------------------------

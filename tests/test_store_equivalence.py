@@ -11,7 +11,8 @@ Kleene, and negation patterns, under both skip-till-any and the
 consuming skip-till-next strategy.  Identity is asserted on the
 *ordered* list of match keys, which is stronger than set equality: the
 bucketed/bisected probes must reproduce the linear scan's emission order
-exactly.
+exactly.  A parallel worker fed the stream in frames of any size must
+reproduce the whole-stream run the same way.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import random
 import pytest
 
 from repro.engines import NFAEngine, TreeEngine, reference_match_keys
+from repro.errors import EngineError
 from repro.events import Event, Stream
 from repro.multiquery import Workload, plan_workload
-from repro.multiquery.executor import MultiQueryEngine
+from repro.multiquery.executor import MultiQueryEngine, group_by_query
+from repro.parallel import SharedSpec, TaskRunner, WorkerTask
 from repro.patterns import decompose, parse_pattern
 from repro.plans import enumerate_bushy_trees, enumerate_orders
 from repro.stats import estimate_pattern_catalog
@@ -387,16 +390,41 @@ def test_kleene_equality_predicates_engage_the_index(name, text, seed):
     assert engine.metrics.index_probes > 0
 
 
-# -- Batch-vs-single-event equivalence --------------------------------------
+# -- run_batched --------------------------------------------------------------
 
-#: Chunk sizes spanning the gates: 1 (pure per-event), small runs, and
-#: whole-stream gulps.
+def match_sig(matches) -> list:
+    return [(m.key(), m.detection_ts, m.latency) for m in matches]
+
+
+def test_run_batched_is_run():
+    """``run_batched`` is ``run`` under another name: every chunk size
+    reproduces it exactly, and a chunk size below 1 is refused."""
+    stream = rand_stream(SEEDS[0])
+    d = decompose(parse_pattern(PATTERNS[0][1]))
+    tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
+    order = next(iter(enumerate_orders(d.positive_variables)))
+    for build in (lambda: TreeEngine(d, tree), lambda: NFAEngine(d, order)):
+        baseline = match_sig(build().run(stream))
+        for batch_size in (1, 7, len(stream) + 1):
+            batched = build().run_batched(stream, batch_size=batch_size)
+            assert match_sig(batched) == baseline, batch_size
+        with pytest.raises(EngineError):
+            build().run_batched(stream, batch_size=0)
+
+
+# -- Frame-fed vs whole-stream equivalence ----------------------------------
+#
+# A parallel worker receives its events in wire frames and hands each
+# frame to ``TaskRunner.feed``, which processes it event by event and
+# collects the frame's matches once.  Whatever the frame size, the
+# worker must report exactly what ``run`` reports on the whole stream.
+
+#: Frame sizes: 1 (one event per frame), small frames, and one frame
+#: holding the whole stream.
 BATCH_SIZES = (1, 3, 16, 1000)
 
-#: Metrics that must not move under batching: the batch path may shift
-#: index-hit accounting (one probe serves a run) but never the logical
-#: work — events seen, predicates charged, partial matches built,
-#: matches emitted.
+#: Logical work that frame boundaries must never move: events seen,
+#: predicates charged, partial matches built and expired, matches kept.
 CORE_METRICS = (
     "events",
     "matches",
@@ -406,13 +434,26 @@ CORE_METRICS = (
 )
 
 
-def match_sig(matches) -> list:
-    return [(m.key(), m.detection_ts, m.latency) for m in matches]
-
-
-def core_metrics(engine) -> dict:
-    summary = engine.metrics.summary()
+def core_metrics(metrics) -> dict:
+    summary = metrics.summary()
     return {k: summary[k] for k in CORE_METRICS}
+
+
+class _Spec:
+    """Worker spec around a zero-argument engine factory."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+
+def feed_in_frames(build, stream, batch_size: int, trace: bool = False):
+    """Run a fresh engine through ``TaskRunner.feed`` in frames of
+    *batch_size* events; return the runner and its finished result."""
+    runner = TaskRunner(WorkerTask(spec=_Spec(build), trace=trace))
+    events = list(stream)
+    for start in range(0, len(events), batch_size):
+        runner.feed([(0, e) for e in events[start:start + batch_size]])
+    return runner, runner.finish()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -422,8 +463,8 @@ def core_metrics(engine) -> dict:
     ids=["equality", "hash+range", "kleene", "negation-theta"],
 )
 def test_batched_runs_match_single_event(name, text, seed):
-    """run_batched must reproduce run exactly — same ordered match
-    signatures and same logical metric charges — for every chunk size,
+    """Frame-fed workers reproduce ``run`` exactly — same ordered match
+    signatures and same logical metric charges — for every frame size,
     engine, acceleration mode, and kernel backend."""
     stream = rand_stream(seed)
     d = decompose(parse_pattern(text))
@@ -450,27 +491,22 @@ def test_batched_runs_match_single_event(name, text, seed):
             single = build()
             baseline = single.run(stream)
             for batch_size in BATCH_SIZES:
-                batched_engine = build()
-                batched = batched_engine.run_batched(
-                    stream, batch_size=batch_size
-                )
+                _, result = feed_in_frames(build, stream, batch_size)
                 label = (
                     f"{name} batch={batch_size} (indexed={indexed}, "
                     f"compiled={compiled}, codegen={codegen})"
                 )
-                assert match_sig(batched) == match_sig(baseline), label
-                assert core_metrics(batched_engine) == core_metrics(single), label
-                assert (
-                    batched_engine.metrics.batches_processed
-                    == -(-len(stream) // batch_size)
+                assert match_sig(result.matches) == match_sig(baseline), label
+                assert core_metrics(result.metrics) == core_metrics(
+                    single.metrics
                 ), label
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("selection", ["next", "strict"])
 def test_batched_consuming_strategies_match_single_event(seed, selection):
-    """Consuming strategies gate batched runs back onto the per-event
-    path — the equivalence must hold regardless."""
+    """Consuming strategies remove partial matches as they complete;
+    frame boundaries must not change which ones they remove."""
     stream = rand_stream(seed, count=80, types="ABC")
     d = decompose(
         parse_pattern("PATTERN SEQ(A a, B b, C c) WHERE a.x = b.x WITHIN 5")
@@ -484,16 +520,15 @@ def test_batched_consuming_strategies_match_single_event(seed, selection):
         single = build()
         baseline = single.run(stream)
         for batch_size in (3, 64):
-            batched_engine = build()
-            batched = batched_engine.run_batched(stream, batch_size=batch_size)
-            assert match_sig(batched) == match_sig(baseline)
-            assert core_metrics(batched_engine) == core_metrics(single)
+            _, result = feed_in_frames(build, stream, batch_size)
+            assert match_sig(result.matches) == match_sig(baseline)
+            assert core_metrics(result.metrics) == core_metrics(single.metrics)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_noisy_values_match_single_event(seed):
-    """NaN, missing, unhashable and unorderable attributes must route
-    through probe_batch's degradation paths without diverging."""
+    """NaN, missing, unhashable and unorderable attributes take the
+    stores' degradation paths identically under frame feeding."""
     stream = noisy_stream(seed, count=70)
     d = decompose(
         parse_pattern(
@@ -509,10 +544,9 @@ def test_batched_noisy_values_match_single_event(seed):
         single = build()
         baseline = single.run(stream)
         for batch_size in (5, 37):
-            batched_engine = build()
-            batched = batched_engine.run_batched(stream, batch_size=batch_size)
-            assert match_sig(batched) == match_sig(baseline)
-            assert core_metrics(batched_engine) == core_metrics(single)
+            _, result = feed_in_frames(build, stream, batch_size)
+            assert match_sig(result.matches) == match_sig(baseline)
+            assert core_metrics(result.metrics) == core_metrics(single.metrics)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -534,22 +568,24 @@ def test_batched_multiquery_matches_single_event(seed):
         single = MultiQueryEngine(plan, indexed=True, codegen=codegen)
         baseline = single.run(stream)
         for batch_size in (1, 4, 50):
-            batched_engine = MultiQueryEngine(
-                plan, indexed=True, codegen=codegen
+            _, result = feed_in_frames(
+                SharedSpec(plan, indexed=True, codegen=codegen).build,
+                stream,
+                batch_size,
             )
-            batched = batched_engine.run_batched(stream, batch_size=batch_size)
-            assert set(batched) == set(baseline)
+            fed = group_by_query(plan.query_names, result.matches)
+            assert set(fed) == set(baseline)
             for query in baseline:
-                assert match_sig(batched[query]) == match_sig(baseline[query]), (
+                assert match_sig(fed[query]) == match_sig(baseline[query]), (
                     f"{query} diverges (batch={batch_size}, codegen={codegen})"
                 )
-            assert core_metrics(batched_engine) == core_metrics(single)
+            assert core_metrics(result.metrics) == core_metrics(single.metrics)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_traced_runs_fall_back_identically(seed):
-    """A tracer forces the per-event path: batched+traced runs must
-    reproduce the traced observation sequence exactly."""
+    """A traced worker fed in frames reproduces the traced whole-stream
+    run's matches and per-node observations exactly."""
     from repro.observe import Tracer
 
     stream = rand_stream(seed)
@@ -558,18 +594,20 @@ def test_batched_traced_runs_fall_back_identically(seed):
     )
     tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
     single = TreeEngine(d, tree, indexed=True, compiled=True)
-    tracer_a = Tracer()
-    single.set_tracer(tracer_a)
+    tracer = Tracer()
+    single.set_tracer(tracer)
     baseline = single.run(stream)
-    batched_engine = TreeEngine(d, tree, indexed=True, compiled=True)
-    tracer_b = Tracer()
-    batched_engine.set_tracer(tracer_b)
-    batched = batched_engine.run_batched(stream, batch_size=16)
-    assert match_sig(batched) == match_sig(baseline)
-    assert [
-        (n.node_id, n.kind, n.events, n.created, n.probed, n.matches)
-        for n in tracer_a.nodes
-    ] == [
-        (n.node_id, n.kind, n.events, n.created, n.probed, n.matches)
-        for n in tracer_b.nodes
-    ]
+    runner, result = feed_in_frames(
+        lambda: TreeEngine(d, tree, indexed=True, compiled=True),
+        stream,
+        16,
+        trace=True,
+    )
+    fields = ("node_id", "kind", "events", "created", "probed", "matches")
+
+    def observed(nodes):
+        return [tuple(node[f] for f in fields) for node in nodes]
+
+    assert match_sig(result.matches) == match_sig(baseline)
+    assert observed(runner.stats()["nodes"]) == observed(tracer.node_dicts())
+    assert any(node["events"] for node in tracer.node_dicts())
