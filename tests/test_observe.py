@@ -43,7 +43,9 @@ from repro.engines import NFAEngine, TreeEngine
 from repro.engines.metrics import EngineMetrics
 from repro.engines.stores import NO_BOUND
 from repro.events import Event
+from repro.multiquery import MultiQueryEngine, plan_workload
 from repro.observe import (
+    NODE_COUNTERS,
     MetricsRegistry,
     NodeStat,
     Tracer,
@@ -282,6 +284,93 @@ class TestObservationNeutrality:
         scanned = observed()
         assert bisected == scanned
         assert any(not passed for (_key, passed) in bisected)
+
+
+# -- per-node attribution ----------------------------------------------------
+
+#: ``(indexed, compiled)`` modes the attribution tests cover.
+ATTRIBUTION_MODES = ((False, False), (True, False), (True, True))
+
+#: NFA per-position NodeStat counters (NODE_COUNTERS order) on
+#: ``rand_stream(7, count=300)`` under the DP-LD order, keyed by
+#: ``(pattern, indexed)``; compiled kernels change no counter.
+NFA_GOLDEN = {
+    (RANGE_PATTERN, False): {
+        "0:a": (80, 80, 0, 75, 0, 0, 0, 0, 0),
+        "1:b": (83, 76, 766, 70, 0, 0, 0, 0, 0),
+        "2:c": (68, 158, 434, 0, 158, 0, 0, 0, 0),
+    },
+    (RANGE_PATTERN, True): {
+        "0:a": (80, 80, 0, 75, 0, 0, 0, 0, 0),
+        "1:b": (83, 76, 141, 70, 0, 163, 154, 154, 85),
+        "2:c": (68, 158, 158, 0, 158, 0, 0, 140, 55),
+    },
+    (KEYED_PATTERN, False): {
+        "0:c": (68, 68, 0, 67, 0, 0, 0, 0, 0),
+        "1:b": (83, 47, 254, 47, 0, 0, 0, 0, 0),
+        "2:a": (80, 10, 104, 0, 10, 0, 0, 0, 0),
+    },
+    (KEYED_PATTERN, True): {
+        "0:c": (68, 68, 0, 67, 0, 0, 0, 0, 0),
+        "1:b": (83, 47, 47, 47, 0, 151, 137, 137, 33),
+        "2:a": (80, 10, 10, 0, 10, 127, 118, 118, 10),
+    },
+}
+
+
+def node_counters(tracer: Tracer) -> dict:
+    """label -> every NodeStat counter except the wall time."""
+    return {
+        node.label: tuple(getattr(node, name) for name in NODE_COUNTERS)
+        for node in tracer.nodes
+    }
+
+
+class TestNodeAttribution:
+    """Exact per-node counters, not just "something was counted": the
+    tree and the single-query DAG attribute identical work to every
+    plan node, and the NFA's per-position counters are pinned."""
+
+    @pytest.mark.parametrize("indexed,compiled", ATTRIBUTION_MODES)
+    @pytest.mark.parametrize("text", [RANGE_PATTERN, KEYED_PATTERN])
+    def test_tree_and_shared_dag_attribute_identically(
+        self, text, indexed, compiled
+    ):
+        stream = rand_stream(7, count=300)
+        pattern = parse_pattern(text)
+        catalog = estimate_pattern_catalog(pattern, stream)
+        planned = plan_pattern(pattern, catalog, algorithm="DP-B")[0]
+        shared = plan_workload([pattern], catalog, algorithm="DP-B")
+        tree_tracer, dag_tracer = Tracer(), Tracer()
+        tree = TreeEngine(
+            planned.decomposed, planned.plan,
+            indexed=indexed, compiled=compiled,
+        )
+        tree.set_tracer(tree_tracer)
+        tree.run(stream)
+        dag = MultiQueryEngine(shared, indexed=indexed, compiled=compiled)
+        dag.set_tracer(dag_tracer)
+        dag.run(stream)
+        tree_counts = node_counters(tree_tracer)
+        assert len(tree_counts) == 5
+        assert tree_counts == node_counters(dag_tracer)
+        assert any(counts[2] for counts in tree_counts.values())  # probed
+
+    @pytest.mark.parametrize("indexed,compiled", ATTRIBUTION_MODES)
+    @pytest.mark.parametrize("text", [RANGE_PATTERN, KEYED_PATTERN])
+    def test_nfa_position_counters_are_pinned(self, text, indexed, compiled):
+        stream = rand_stream(7, count=300)
+        pattern = parse_pattern(text)
+        catalog = estimate_pattern_catalog(pattern, stream)
+        planned = plan_pattern(pattern, catalog, algorithm="DP-LD")[0]
+        tracer = Tracer()
+        engine = NFAEngine(
+            planned.decomposed, planned.plan,
+            indexed=indexed, compiled=compiled,
+        )
+        engine.set_tracer(tracer)
+        engine.run(stream)
+        assert node_counters(tracer) == NFA_GOLDEN[(text, indexed)]
 
 
 # -- registry + exporters ----------------------------------------------------
