@@ -21,12 +21,7 @@ from .nfa import NFAEngine
 from .profiler import OutputProfiler
 from .reference import reference_match_keys
 from .snapshot import EngineSnapshot, describe_partial_match, snapshot_pm_count
-from .stores import (
-    PartialMatchStore,
-    equality_key_pairs,
-    kleene_key_value,
-    make_key_fn,
-)
+from .stores import PartialMatchStore, kleene_key_value, make_key_fn
 from .tree import TreeEngine
 
 __all__ = [
@@ -51,7 +46,6 @@ __all__ = [
     "NFAEngine",
     "OutputProfiler",
     "PartialMatchStore",
-    "equality_key_pairs",
     "kleene_key_value",
     "make_key_fn",
     "reference_match_keys",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from functools import partial
 from typing import Deque, Iterator, Optional
 
 from ..errors import EngineError
@@ -58,6 +59,25 @@ _SELECTIONS = (
 #: value of None means "compiled, but the predicate list is empty" —
 #: vacuously true with no bindings copy at all.
 INTERPRET = object()
+
+
+def traced(engine, stat, work, *args):
+    """Run ``work(*args, stat=stat)`` and charge its wall time and index
+    counter deltas to ``stat`` — the one instrumentation seam of every
+    runtime's join step (tree pairings, NFA arrivals and buffer scans,
+    DAG edge pairings).  Only a traced engine calls this, and the clock
+    is its tracer's, so an untraced engine never reads one."""
+    clock, metrics = engine._tracer.clock, engine.metrics
+    ip0, ih0 = metrics.index_probes, metrics.index_hits
+    rp0, rh0 = metrics.range_probes, metrics.range_hits
+    started = clock()
+    created = work(*args, stat=stat)
+    stat.wall += clock() - started
+    stat.index_probes += metrics.index_probes - ip0
+    stat.index_hits += metrics.index_hits - ih0
+    stat.range_probes += metrics.range_probes - rp0
+    stat.range_hits += metrics.range_hits - rh0
+    return created
 
 
 class _PendingMatch:
@@ -173,6 +193,9 @@ class BaseEngine:
         # observation-free — engines never read a clock or touch a
         # NodeStat without a tracer attached.
         self._tracer = None
+        # Every join input's repro.engines.access.AccessPath, registered
+        # by the subclass runtimes (tracker hookup).
+        self._access_paths: list = []
 
     # -- public API --------------------------------------------------------
     def process(self, event: Event) -> list[Match]:
@@ -366,6 +389,12 @@ class BaseEngine:
         detaching (``None``) restores the observation-free kernels.
         """
         self._sel_tracker = tracker
+        for path in self._access_paths:
+            path.on_excluded = (
+                None
+                if tracker is None or path.range_predicate is None
+                else partial(self._observe_excluded, path.range_predicate)
+            )
         if self.compiled:
             self._recompile_kernels()
 
@@ -413,12 +442,6 @@ class BaseEngine:
         for _ in range(count):
             observe(key, False)
         self.metrics.selectivity_observations += count
-
-    def _excluded_observer(self, predicate: Predicate):
-        """Callback for the stores' ``on_excluded`` probe hook."""
-        def on_excluded(count: int) -> None:
-            self._observe_excluded(predicate, count)
-        return on_excluded
 
     # -- shared plumbing ----------------------------------------------------
     def _advance_time(self, event: Event) -> list[Match]:
@@ -482,7 +505,7 @@ class BaseEngine:
 
         ``predicates`` overrides the per-variable predicate list — used
         by indexed probes to skip equalities the hash bucket already
-        guarantees (see :mod:`repro.engines.stores`).  ``kernel``
+        guarantees (see :mod:`repro.engines.access`).  ``kernel``
         replaces the interpreted evaluation with a compiled conjunction
         (``None`` = empty predicate list, vacuously true); the
         :data:`INTERPRET` sentinel keeps the interpreted path.

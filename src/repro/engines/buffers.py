@@ -11,8 +11,9 @@ timestamp-ordered) time order, so the buffer gets the indexed-store
 treatment of :mod:`repro.engines.stores` cheaply:
 
 * an optional **hash index** partitions events by an equality-key
-  function (installed by the NFA engine when the plan has ``Attr ==
-  Attr`` predicates between this variable and earlier plan positions),
+  function (installed by :func:`repro.engines.access.transition_paths`
+  when the plan has ``Attr == Attr`` predicates between this variable
+  and earlier plan positions),
   so :meth:`probe` touches one bucket instead of the whole buffer;
 * **consumed events are tombstoned** in a seq-set and skipped on
   iteration instead of rebuilding the deque per removal; tombstones are
@@ -114,13 +115,17 @@ class VariableBuffer:
         key_of: Optional[Callable[[Event], tuple]],
         value_of: Optional[Callable[[Event], object]] = None,
         op: Optional[str] = None,
-    ) -> None:
-        """Install an access path (before any event is offered).
+    ) -> int:
+        """Install an access path (before any event is offered); returns
+        its probe handle.
 
         ``key_of`` hash-partitions on the equality key; ``value_of``/
         ``op`` add a per-bucket value-sorted run for one theta
         predicate (``stored_value op probe_value``).  ``key_of=None``
-        with a range keeps one implicit bucket (pure range index).
+        with a range keeps one implicit bucket (pure range index).  A
+        buffer holds one index; the handle lets :meth:`probe` and
+        :meth:`index_exact` take the same arguments as on a
+        :class:`~repro.engines.stores.PartialMatchStore`.
         """
         if self._events:
             raise ValueError("index must be installed on an empty buffer")
@@ -131,17 +136,13 @@ class VariableBuffer:
         self._key_of = key_of
         self._value_of = value_of
         self._range_op = op
+        return 0
 
     def set_filter(self, unary_filter: Optional[Callable[[Event], bool]]) -> None:
         """Replace the admission filter (compiled-kernel installation)."""
         self._filter = unary_filter
 
-    @property
-    def indexed(self) -> bool:
-        return self._key_of is not None or self._value_of is not None
-
-    @property
-    def index_exact(self) -> bool:
+    def index_exact(self, handle: int) -> bool:
         """True when every candidate :meth:`probe` yields is bucket-
         guaranteed to satisfy the equality the index encodes (no
         unhashable-key overflow entries); callers must otherwise apply
@@ -261,7 +262,12 @@ class VariableBuffer:
                 yield event
 
     def probe(
-        self, key: tuple, trigger_seq: int, bound=NO_BOUND, on_excluded=None
+        self,
+        handle: int,
+        key: tuple,
+        trigger_seq: int,
+        bound=NO_BOUND,
+        on_excluded=None,
     ) -> Iterator[Event]:
         """Indexed ``events_before``: one bucket instead of the buffer.
 

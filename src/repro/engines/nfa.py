@@ -19,11 +19,11 @@ binds at most one event per position, and events of reported matches are
 consumed.
 
 Each chain transition is a two-sided join between a state's instance
-store (a :class:`~repro.engines.stores.PartialMatchStore`) and the next
-variable's buffer: when the transition carries ``Attr == Attr``
-predicates, both sides are hash-partitioned at build time, so arrival
-probes and ``events_before`` scans touch one bucket instead of the
-whole store, and window expiry of the states is watermark-gated.
+store (a :class:`~repro.engines.stores.PartialMatchStore`, with
+watermark-gated window expiry) and the next variable's buffer.  How
+each side finds its candidates in the other — hash bucket, theta
+bisect or scan — is one :class:`~repro.engines.access.AccessPath` per
+side, built by :func:`~repro.engines.access.transition_paths`.
 """
 
 from __future__ import annotations
@@ -31,24 +31,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..events import Event
-from ..patterns.compile import compile_extension_kernel
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
-from .base import INTERPRET, SELECTION_ANY, BaseEngine
+from .access import AccessPath, extension_kernel, transition_paths
+from .base import INTERPRET, SELECTION_ANY, BaseEngine, traced
 from .matches import Match, PartialMatch
-from .stores import (
-    EMPTY_RANGE,
-    NO_BOUND,
-    PartialMatchStore,
-    equality_key_pairs,
-    make_event_key_fn,
-    make_event_value_fn,
-    make_key_fn,
-    make_value_fn,
-    probe_key,
-    range_key_pairs,
-    range_probe_value,
-)
+from .stores import PartialMatchStore
 
 
 class NFAEngine(BaseEngine):
@@ -91,122 +79,60 @@ class NFAEngine(BaseEngine):
         self._absorbing_accept = (
             self._order[-1] in self._kleene
         )
-        # Access paths (see repro.engines.stores): the chain transition
-        # into position p is a two-sided join between state p (instances
-        # binding order[0..p-1]) and the buffer of order[p].  Each side
-        # gets a hash index keyed on its half of the Attr == Attr
-        # predicates, composed with a value-sorted run for the first
-        # Attr </<=/>/>= Attr cross-predicate; the other side supplies
-        # the probe key and the theta bound.
-        # -> (id, ev_key, ev_val, range_pred)
-        self._state_probe: dict[int, tuple] = {}
-        # -> (pm_key, pm_val, range_pred)
-        self._buffer_probe: dict[str, tuple] = {}
+        # The chain transition into position p is a binary join between
+        # state p (instances binding order[:p]) and the buffer of
+        # order[p], probed from both sides (repro.engines.access).
+        self._state_paths: dict[int, AccessPath] = {}
+        self._buffer_paths: dict[int, AccessPath] = {}
+        for position in range(1, self._n):
+            variable = self._order[position]
+            into_state, into_buffer = transition_paths(
+                self._preds_by_var[variable],
+                self._order[:position],
+                variable,
+                self._kleene,
+                self._states[position],
+                self._buffers[variable],
+                self.metrics,
+                indexed=indexed,
+                codegen=codegen,
+            )
+            self._state_paths[position] = into_state
+            self._buffer_paths[position] = into_buffer
+            self._access_paths += (into_state, into_buffer)
         # Per-position trace counters (repro.observe); None = no tracer.
         self._tstats = None
-        # Per variable: predicates minus the equalities its transition's
-        # hash bucket already guarantees (used on indexed candidates).
-        self._residual_preds: dict[str, list] = {}
-        if indexed:
-            for position in range(1, self._n):
-                variable = self._order[position]
-                prior_spec, event_spec, extracted = equality_key_pairs(
-                    self._conditions,
-                    self._order[:position],
-                    (variable,),
-                    self._kleene,
-                )
-                range_spec = range_key_pairs(
-                    self._conditions,
-                    self._order[:position],
-                    (variable,),
-                    self._kleene,
-                )
-                if not prior_spec and range_spec is None:
-                    continue
-                pm_key = make_key_fn(prior_spec, self._kleene)  # None without equalities
-                ev_key = make_event_key_fn(event_spec)
-                pm_val = ev_val = None
-                state_op = buffer_op = None
-                range_pred = None
-                if range_spec is not None:
-                    prior_item, state_op, event_item, buffer_op, range_pred = (
-                        range_spec
-                    )
-                    pm_val = make_value_fn(prior_item)
-                    ev_val = make_event_value_fn(event_item)
-                index_id = self._states[position].add_index(
-                    pm_key, value_of=pm_val, op=state_op
-                )
-                self._state_probe[position] = (
-                    index_id, ev_key, ev_val, range_pred
-                )
-                self._buffers[variable].set_index(
-                    ev_key,
-                    value_of=ev_val,
-                    op=buffer_op,
-                )
-                self._buffer_probe[variable] = (pm_key, pm_val, range_pred)
-                skip = set(map(id, extracted))
-                self._residual_preds[variable] = [
-                    p
-                    for p in self._preds_by_var[variable]
-                    if id(p) not in skip
-                ]
-        # Compiled per-position extension kernels (repro.patterns.compile):
-        # _ext_full[p] checks binding order[p] onto an instance holding
-        # order[:p] (also the absorption kernel of that position);
-        # _ext_resid[p] is the same minus bucket-guaranteed equalities.
-        self._ext_full: dict[int, object] = {}
-        self._ext_resid: dict[int, object] = {}
+        # Per-position full extension kernel, also the absorption kernel
+        # of a Kleene variable at that position (INTERPRET = interpreted).
+        self._ext_full: dict[int, object] = dict.fromkeys(
+            range(self._n), INTERPRET
+        )
         if compiled:
             self._recompile_kernels()
 
     def _recompile_kernels(self) -> None:
-        """Fuse each chain transition's predicate list into one kernel.
+        """Fuse each chain position's predicate lists into kernels.
 
-        Kernel ``p`` covers binding ``order[p]`` onto an instance whose
-        bound set is ``order[:p]`` — the static per-state equivalent of
-        the interpreted ``vars ⊆ bound`` filter — and doubles as the
-        absorption kernel for a Kleene variable at that position (the
-        new element is checked as a scalar either way).
+        Position ``p``'s kernels cover binding ``order[p]`` onto an
+        instance whose bound set is ``order[:p]`` — the static per-state
+        equivalent of the interpreted ``vars ⊆ bound`` filter.  The full
+        kernel doubles as the absorption kernel for a Kleene variable at
+        that position (the new element is checked as a scalar either
+        way), and both sides of a transition share one kernel pair.
         """
         super()._recompile_kernels()
-        for position in range(self._n):
-            variable = self._order[position]
-            bound = set(self._order[: position + 1])
-            applicable = [
-                p
-                for p in self._preds_by_var[variable]
-                if set(p.variables) <= bound
-            ]
-            self._ext_full[position] = compile_extension_kernel(
-                applicable,
-                variable,
-                self._kleene,
-                self.metrics,
-                tracker=self._sel_tracker,
-                sel_key_by_pred=self._sel_key_by_pred,
-                codegen=self.codegen,
-            )
-            residual = self._residual_preds.get(variable)
-            if residual is not None:
-                self._ext_resid[position] = compile_extension_kernel(
-                    [p for p in residual if set(p.variables) <= bound],
-                    variable,
-                    self._kleene,
-                    self.metrics,
-                    tracker=self._sel_tracker,
-                    sel_key_by_pred=self._sel_key_by_pred,
-                    codegen=self.codegen,
-                )
-
-    def _kernel_for(self, position: int, residual: bool):
-        """Kernel for a transition, or the INTERPRET sentinel."""
-        if not self.compiled:
-            return INTERPRET
-        table = self._ext_resid if residual else self._ext_full
-        return table.get(position)
+        tracker, keys = self._sel_tracker, self._sel_key_by_pred
+        first = self._order[0]
+        self._ext_full[0] = extension_kernel(
+            self._preds_by_var[first], {first}, first, self._kleene,
+            self.metrics, self.codegen, tracker, keys,
+        )
+        for position, into_state in self._state_paths.items():
+            into_state.compile(tracker, keys)
+            into_buffer = self._buffer_paths[position]
+            into_buffer.kernel = into_state.kernel
+            into_buffer.residual_kernel = into_state.residual_kernel
+            self._ext_full[position] = into_state.kernel
 
     def _register_trace_nodes(self) -> None:
         """One :class:`~repro.observe.trace.NodeStat` per chain position."""
@@ -243,31 +169,15 @@ class NFAEngine(BaseEngine):
                 stat = tstats[position]
                 stat.events += 1
                 created.extend(
-                    self._traced_arrival(variable, position, event, stat)
+                    traced(
+                        self, stat, self._arrival_extensions,
+                        variable, position, event,
+                    )
                 )
 
         matches.extend(self._cascade(created))
         self._note_state()
         return matches
-
-    def _traced_arrival(
-        self, variable: str, position: int, event: Event, stat
-    ) -> list[tuple[PartialMatch, int]]:
-        """Tracer-attached arrival: wall time and index counter deltas
-        attributed to the arriving variable's chain position."""
-        metrics = self.metrics
-        ip0, ih0 = metrics.index_probes, metrics.index_hits
-        rp0, rh0 = metrics.range_probes, metrics.range_hits
-        started = self._tracer.clock()
-        created = self._arrival_extensions(
-            variable, position, event, stat=stat
-        )
-        stat.wall += self._tracer.clock() - started
-        stat.index_probes += metrics.index_probes - ip0
-        stat.index_hits += metrics.index_hits - ih0
-        stat.range_probes += metrics.range_probes - rp0
-        stat.range_hits += metrics.range_hits - rh0
-        return created
 
     # -- arrival-driven extensions -------------------------------------------------
     def _arrival_extensions(
@@ -290,9 +200,8 @@ class NFAEngine(BaseEngine):
                     self._buffers[variable].remove_seq(event.seq)
         else:
             state = self._states[position]
-            candidates, preds, kernel = self._state_candidates(
-                state, position, event
-            )
+            path = self._state_paths[position]
+            candidates, preds, kernel = path.candidates(event, event.seq)
             if stat is not None:
                 candidates = list(candidates)
                 stat.probed += len(candidates)
@@ -324,7 +233,7 @@ class NFAEngine(BaseEngine):
         # variable sits last in the plan.
         if is_kleene and not self._consuming:
             state_index = position + 1
-            kernel = self._kernel_for(position, residual=False)
+            kernel = self._ext_full[position]
             for pm in list(self._states[state_index]):
                 if not self._kleene_room(pm, variable, self.max_kleene_size):
                     continue
@@ -335,68 +244,6 @@ class NFAEngine(BaseEngine):
                         (pm.kleene_extended(variable, event), state_index)
                     )
         return created
-
-    def _state_candidates(
-        self, state: PartialMatchStore, position: int, event: Event
-    ):
-        """Instances eligible to take the arriving event, with the
-        predicate list (and compiled kernel) to check them against — one
-        hash bucket, theta-bisected when the transition has an extracted
-        range predicate (checked against the residual predicates only
-        when the bucket guarantees the equalities), the whole state
-        (full predicates) otherwise.  Every stored trigger predates the
-        arriving event, so ``event.seq`` is an inclusive-of-everything
-        bound."""
-        probe = self._state_probe.get(position)
-        if probe is not None:
-            index_id, ev_key, ev_val, range_pred = probe
-            key = () if ev_key is None else probe_key(ev_key, event)
-            if key is not None:
-                bound = NO_BOUND
-                on_excluded = None
-                tracked = (
-                    self._sel_tracker is not None and range_pred is not None
-                )
-                if ev_val is not None:
-                    bound = range_probe_value(ev_val, event)
-                    if bound is EMPTY_RANGE:
-                        # The theta predicate rejects every instance; with
-                        # a tracker attached each eligible one is reported
-                        # as a failed evaluation so the observed theta
-                        # selectivity stays unbiased.
-                        if tracked:
-                            self._observe_excluded(
-                                range_pred,
-                                sum(
-                                    1
-                                    for _ in state.probe(
-                                        index_id, key, event.seq
-                                    )
-                                ),
-                            )
-                        return iter(()), None, self._kernel_for(
-                            position, residual=False
-                        )
-                    if tracked:
-                        on_excluded = self._excluded_observer(range_pred)
-                exact = ev_key is not None and state.index_exact(index_id)
-                preds = (
-                    self._residual_preds[self._order[position]]
-                    if exact
-                    else None  # overflow present / no equality: full
-                )
-                return (
-                    state.probe(
-                        index_id,
-                        key,
-                        event.seq,
-                        bound=bound,
-                        on_excluded=on_excluded,
-                    ),
-                    preds,
-                    self._kernel_for(position, residual=exact),
-                )
-        return iter(state), None, self._kernel_for(position, residual=False)
 
     def _bind(
         self, pm: PartialMatch, variable: str, event: Event
@@ -456,80 +303,21 @@ class NFAEngine(BaseEngine):
             if tstats is None:
                 queue.extend(self._buffer_extensions(pm, state))
             else:
-                queue.extend(self._traced_buffer_extensions(pm, state))
+                # Buffer-scan work belongs to the position it binds.
+                queue.extend(
+                    traced(self, tstats[state], self._buffer_extensions, pm, state)
+                )
         return matches
-
-    def _traced_buffer_extensions(
-        self, pm: PartialMatch, state: int
-    ) -> list[tuple[PartialMatch, int]]:
-        """Tracer-attached buffer scan: wall time and index counter
-        deltas attributed to the position the scan binds."""
-        stat = self._tstats[state]
-        metrics = self.metrics
-        ip0, ih0 = metrics.index_probes, metrics.index_hits
-        rp0, rh0 = metrics.range_probes, metrics.range_hits
-        started = self._tracer.clock()
-        created = self._buffer_extensions(pm, state, stat=stat)
-        stat.wall += self._tracer.clock() - started
-        stat.index_probes += metrics.index_probes - ip0
-        stat.index_hits += metrics.index_hits - ih0
-        stat.range_probes += metrics.range_probes - rp0
-        stat.range_hits += metrics.range_hits - rh0
-        return created
 
     def _buffer_extensions(
         self, pm: PartialMatch, state: int, stat=None
     ) -> list[tuple[PartialMatch, int]]:
-        """Scan the next variable's buffer for earlier-arrived events —
-        one hash bucket, theta-bisected when the transition carries an
-        extracted range predicate."""
+        """Scan the next variable's buffer for earlier-arrived events
+        through the transition's access path."""
         variable = self._order[state]
-        buffer = self._buffers[variable]
-        candidates = None
-        preds = None
-        kernel = self._kernel_for(state, residual=False)
-        probe = self._buffer_probe.get(variable)
-        if probe is not None:
-            pm_key_of, pm_val_of, range_pred = probe
-            key = (
-                () if pm_key_of is None else probe_key(pm_key_of, pm.bindings)
-            )
-            if key is not None:
-                bound = NO_BOUND
-                on_excluded = None
-                tracked = (
-                    self._sel_tracker is not None and range_pred is not None
-                )
-                if pm_val_of is not None:
-                    bound = range_probe_value(pm_val_of, pm.bindings)
-                    if bound is EMPTY_RANGE:
-                        # The theta predicate rejects every buffered event;
-                        # with a tracker attached each eligible one is
-                        # reported as a failed evaluation so the observed
-                        # theta selectivity stays unbiased.
-                        if tracked:
-                            self._observe_excluded(
-                                range_pred,
-                                sum(
-                                    1
-                                    for _ in buffer.probe(key, pm.trigger_seq)
-                                ),
-                            )
-                        return []
-                    if tracked:
-                        on_excluded = self._excluded_observer(range_pred)
-                candidates = buffer.probe(
-                    key,
-                    pm.trigger_seq,
-                    bound=bound,
-                    on_excluded=on_excluded,
-                )
-                if pm_key_of is not None and buffer.index_exact:
-                    # Bucket-guaranteed: skip the extracted equalities.
-                    preds = self._residual_preds[variable]
-                    kernel = self._kernel_for(state, residual=True)
-        if candidates is None:
-            candidates = buffer.events_before(pm.trigger_seq)
+        candidates, preds, kernel = self._buffer_paths[state].candidates(
+            pm.bindings, pm.trigger_seq
+        )
         if stat is not None:
             candidates = list(candidates)
             stat.probed += len(candidates)
@@ -542,7 +330,7 @@ class NFAEngine(BaseEngine):
                     # Advance with the earliest eligible event only; the
                     # instance takes ownership of that event.
                     self._drop_instance(pm, state)
-                    buffer.remove_seq(event.seq)
+                    self._buffers[variable].remove_seq(event.seq)
                     break
         return created
 
@@ -554,7 +342,7 @@ class NFAEngine(BaseEngine):
         newest = tuple_events[-1].seq
         if not self._kleene_room(pm, variable, self.max_kleene_size):
             return created
-        kernel = self._kernel_for(state - 1, residual=False)
+        kernel = self._ext_full[state - 1]
         for event in self._buffers[variable].events_before(pm.trigger_seq):
             if event.seq <= newest:
                 continue

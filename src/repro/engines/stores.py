@@ -1,9 +1,10 @@
 """Indexed partial-match stores: the shared storage layer of all runtimes.
 
-Every join the engines perform — :meth:`TreeEngine._pairings`, the NFA's
-``events_before`` buffer scans and state probes, and the multi-query
-DAG's shared-node pairings — used to be a nested-loop scan over a plain
-``list[PartialMatch]``, re-filtered and fully rebuilt on every event.
+Every join the engines perform — tree-node pairings, the NFA's buffer
+scans and state probes, and the multi-query DAG's shared-node pairings,
+all reached through :mod:`repro.engines.access` — used to be a
+nested-loop scan over a plain ``list[PartialMatch]``, re-filtered and
+fully rebuilt on every event.
 The paper's cost models (Section 4) count partial matches; on the
 hardware it is the *per-pair* work that caps throughput.  This module
 makes the per-pair work proportional to the candidates that can actually
@@ -555,10 +556,6 @@ class PartialMatchStore:
             raise ValueError("indexes must be registered before inserts")
         self._indexes.append(_Index(key_of, value_of, op))
         return len(self._indexes) - 1
-
-    @property
-    def indexed(self) -> bool:
-        return bool(self._indexes)
 
     def index_exact(self, index_id: int) -> bool:
         """True when every candidate :meth:`probe` yields for this index

@@ -19,12 +19,13 @@ Leaf stores *are* the event buffers here, which matches the tree cost
 model: a leaf contributes ``PM(l) = W·r_i`` (Section 4.2), so leaf
 instances are counted as partial matches rather than as buffered events.
 
-Every node's store is a :class:`~repro.engines.stores.PartialMatchStore`:
-``Attr == Attr`` cross-predicates of a join hash-partition both child
-stores at build time (``_pairings`` probes one bucket instead of
-scanning the sibling), window expiry is watermark-gated with a bisected
-prefix drop, and the strictly-earlier trigger bound is a binary search.
-None of this changes which instances exist — only how they are reached.
+Every node's store is a :class:`~repro.engines.stores.PartialMatchStore`
+with watermark-gated window expiry.  How a child's new instance finds
+its partners in the sibling's store — hash bucket, theta bisect or scan,
+and which predicates remain to check — is the child's
+:class:`~repro.engines.access.AccessPath`, built by
+:func:`~repro.engines.access.join_paths`.  None of this changes which
+instances exist — only how they are reached.
 """
 
 from __future__ import annotations
@@ -33,28 +34,14 @@ from typing import Optional
 
 from ..errors import EngineError
 from ..events import Event
-from ..patterns.compile import (
-    compile_event_kernel,
-    compile_extension_kernel,
-    compile_merge_kernel,
-)
-from ..patterns.predicates import Predicate
+from ..patterns.compile import compile_event_kernel, compile_extension_kernel
 from ..patterns.transformations import DecomposedPattern
 from ..plans.tree_plan import TreeNode, TreePlan
-from .base import INTERPRET, SELECTION_ANY, BaseEngine
+from .access import AccessPath, join_paths
+from .base import INTERPRET, SELECTION_ANY, BaseEngine, traced
 from .matches import Match, PartialMatch
 from .negation import PreparedSpec
-from .stores import (
-    EMPTY_RANGE,
-    NO_BOUND,
-    PartialMatchStore,
-    equality_key_pairs,
-    make_key_fn,
-    make_value_fn,
-    probe_key,
-    range_key_pairs,
-    range_probe_value,
-)
+from .stores import PartialMatchStore
 
 
 class _RuntimeNode:
@@ -64,19 +51,11 @@ class _RuntimeNode:
         "plan_node",
         "variables",
         "parent",
-        "sibling",
         "store",
-        "cross_predicates",
-        "residual_predicates",
+        "path",
         "negation_specs",
         "is_leaf",
         "variable",
-        "probe_index",
-        "probe_key_of",
-        "probe_bound_of",
-        "range_predicate",
-        "merge_full",
-        "merge_resid",
         "absorb_kernel",
         "tstat",
     )
@@ -85,33 +64,15 @@ class _RuntimeNode:
         self.plan_node = plan_node
         self.variables = frozenset(plan_node.leaf_variables)
         self.parent: Optional["_RuntimeNode"] = None
-        self.sibling: Optional["_RuntimeNode"] = None
         self.store: PartialMatchStore = None  # set by TreeEngine._build
-        self.cross_predicates: list[Predicate] = []
-        # cross_predicates minus the equalities the hash index already
-        # guarantees; evaluated on bucket candidates (scans use the full
-        # list).
-        self.residual_predicates: list[Predicate] = []
+        # How this node's new instances find their earlier partners in
+        # the sibling's store (None at the root).
+        self.path: Optional[AccessPath] = None
         self.negation_specs: list[PreparedSpec] = []
         self.is_leaf = plan_node.is_leaf
         self.variable = plan_node.variable
-        # Access path into sibling.store (see repro.engines.stores):
-        # probe_key_of maps this node's bindings to the probe key,
-        # probe_bound_of to the theta bound; probe_index is the handle
-        # registered on the sibling's store.
-        self.probe_index: Optional[int] = None
-        self.probe_key_of = None
-        self.probe_bound_of = None
-        # The extracted theta predicate behind probe_bound_of, kept so
-        # bisect-excluded candidates can be reported to a selectivity
-        # tracker as failed evaluations of exactly this predicate.
-        self.range_predicate: Optional[Predicate] = None
         # Per-node trace counters (repro.observe); None without a tracer.
         self.tstat = None
-        # Compiled kernels (repro.patterns.compile), oriented with this
-        # node's instance on the left and the sibling's on the right.
-        self.merge_full = INTERPRET
-        self.merge_resid = INTERPRET
         # Leaf Kleene absorption kernel (unary predicates re-checked on
         # the new element, matching the interpreted path).
         self.absorb_kernel = INTERPRET
@@ -163,11 +124,9 @@ class TreeEngine(BaseEngine):
         else:
             left = self._build(plan_node.left, runtime)
             right = self._build(plan_node.right, runtime)
-            left.sibling = right
-            right.sibling = left
             left_set = left.variables
             right_set = right.variables
-            runtime.cross_predicates = [
+            cross_predicates = [
                 p
                 for p in self._conditions
                 if len(p.variables) == 2
@@ -176,68 +135,24 @@ class TreeEngine(BaseEngine):
                     or (p.variables[0] in right_set and p.variables[1] in left_set)
                 )
             ]
-            if self.indexed:
-                self._index_children(runtime, left, right)
+            left.path, right.path = join_paths(
+                cross_predicates,
+                left_set,
+                right_set,
+                self._kleene,
+                left.store,
+                right.store,
+                self.metrics,
+                indexed=self.indexed,
+                codegen=self.codegen,
+            )
+            self._access_paths += (left.path, right.path)
         return runtime
-
-    def _index_children(
-        self, runtime: _RuntimeNode, left: _RuntimeNode, right: _RuntimeNode
-    ) -> None:
-        """Index both child stores on the join's equality + theta keys.
-
-        Each child probes its sibling, so the index on the left store is
-        keyed by the left-side attributes and probed with keys computed
-        from right-side bindings — and vice versa.  A ``< <= > >=``
-        cross-predicate additionally sorts each bucket by its side of
-        the comparison, so the probe bisects a value range inside the
-        bucket (or inside the whole store when the join has no
-        equality).  The extracted predicates remain in
-        ``cross_predicates``: the index is only an access path, residual
-        evaluation stays exact.
-        """
-        left_spec, right_spec, extracted = equality_key_pairs(
-            runtime.cross_predicates,
-            left.variables,
-            right.variables,
-            self._kleene,
-        )
-        range_spec = range_key_pairs(
-            runtime.cross_predicates,
-            left.variables,
-            right.variables,
-            self._kleene,
-        )
-        if not left_spec and range_spec is None:
-            return
-        skip = set(map(id, extracted))
-        runtime.residual_predicates = [
-            p for p in runtime.cross_predicates if id(p) not in skip
-        ]
-        left_key = make_key_fn(left_spec, self._kleene)  # None without equalities
-        right_key = make_key_fn(right_spec, self._kleene)
-        left_val = right_val = None
-        left_op = right_op = None
-        if range_spec is not None:
-            left_item, left_op, right_item, right_op, range_pred = range_spec
-            left_val = make_value_fn(left_item)
-            right_val = make_value_fn(right_item)
-            left.range_predicate = range_pred
-            right.range_predicate = range_pred
-        left.probe_index = right.store.add_index(
-            right_key, value_of=right_val, op=right_op
-        )
-        left.probe_key_of = left_key
-        left.probe_bound_of = left_val
-        right.probe_index = left.store.add_index(
-            left_key, value_of=left_val, op=left_op
-        )
-        right.probe_key_of = right_key
-        right.probe_bound_of = right_val
 
     def _recompile_kernels(self) -> None:
         """Fuse per-node predicate lists into compiled kernels: admission
-        filters per variable, the join residuals per child orientation,
-        and leaf Kleene absorption checks."""
+        filters per variable, each child's join access path, and leaf
+        Kleene absorption checks."""
         super()._recompile_kernels()
         tracker = self._sel_tracker
         common = dict(
@@ -253,41 +168,17 @@ class TreeEngine(BaseEngine):
                     filters, variable, self.metrics, count="all", **common
                 )
         for node in self._nodes:
-            if node.is_leaf:
-                if node.variable in self._kleene:
-                    unary = [
-                        p
-                        for p in self._preds_by_var[node.variable]
-                        if set(p.variables) <= {node.variable}
-                    ]
-                    node.absorb_kernel = compile_extension_kernel(
-                        unary,
-                        node.variable,
-                        self._kleene,
-                        self.metrics,
-                        **common,
-                    )
-                continue
-            left, right = None, None
-            for child in self._nodes:
-                if child.parent is node:
-                    if left is None:
-                        left = child
-                    else:
-                        right = child
-            for mine, sibling in ((left, right), (right, left)):
-                mine.merge_full = compile_merge_kernel(
-                    node.cross_predicates,
-                    mine.variables,
-                    sibling.variables,
-                    self._kleene,
-                    self.metrics,
-                    **common,
-                )
-                mine.merge_resid = compile_merge_kernel(
-                    node.residual_predicates,
-                    mine.variables,
-                    sibling.variables,
+            if node.path is not None:
+                node.path.compile(tracker, self._sel_key_by_pred)
+            if node.is_leaf and node.variable in self._kleene:
+                unary = [
+                    p
+                    for p in self._preds_by_var[node.variable]
+                    if set(p.variables) <= {node.variable}
+                ]
+                node.absorb_kernel = compile_extension_kernel(
+                    unary,
+                    node.variable,
                     self._kleene,
                     self.metrics,
                     **common,
@@ -429,109 +320,29 @@ class TreeEngine(BaseEngine):
                 continue
             node.store.insert(pm)
             if tracing:
-                queue.extend(self._traced_pairings(pm, node))
+                # Pairing work belongs to the parent join node.
+                queue.extend(
+                    traced(self, node.parent.tstat, self._pairings, pm, node)
+                )
             else:
                 queue.extend(self._pairings(pm, node))
         return matches
 
-    def _traced_pairings(
-        self, pm: PartialMatch, node: _RuntimeNode
-    ) -> list[tuple[PartialMatch, _RuntimeNode]]:
-        """Tracer-attached :meth:`_pairings`: wall time and the index
-        counter deltas of this pairing are attributed to the parent join
-        node (the node whose combination work it is)."""
-        parent = node.parent
-        if parent is None:
-            return self._pairings(pm, node)
-        stat = parent.tstat
-        metrics = self.metrics
-        ip0, ih0 = metrics.index_probes, metrics.index_hits
-        rp0, rh0 = metrics.range_probes, metrics.range_hits
-        started = self._tracer.clock()
-        created = self._pairings(pm, node, stat=stat)
-        stat.wall += self._tracer.clock() - started
-        stat.index_probes += metrics.index_probes - ip0
-        stat.index_hits += metrics.index_hits - ih0
-        stat.range_probes += metrics.range_probes - rp0
-        stat.range_hits += metrics.range_hits - rh0
-        return created
-
     def _pairings(
         self, pm: PartialMatch, node: _RuntimeNode, stat=None
     ) -> list[tuple[PartialMatch, _RuntimeNode]]:
-        """Combine a new instance with earlier sibling instances.
-
-        With an equality index the sibling store yields one hash bucket
-        (already bounded to strictly earlier triggers); otherwise the
-        trigger bound is still a bisect, never a per-element check.
-        """
-        sibling = node.sibling
+        """Combine a new instance with earlier sibling instances, found
+        through the node's access path (:mod:`repro.engines.access`)."""
         parent = node.parent
-        if sibling is None or parent is None:
-            return []
-        candidates = None
-        predicates = parent.cross_predicates
-        kernel = node.merge_full if self.compiled else INTERPRET
-        if node.probe_index is not None:
-            key = (
-                ()
-                if node.probe_key_of is None
-                else probe_key(node.probe_key_of, pm.bindings)
-            )
-            if key is not None:
-                bound = NO_BOUND
-                on_excluded = None
-                if node.probe_bound_of is not None:
-                    bound = range_probe_value(node.probe_bound_of, pm.bindings)
-                    tracked = (
-                        self._sel_tracker is not None
-                        and node.range_predicate is not None
-                    )
-                    if bound is EMPTY_RANGE:
-                        # The theta predicate rejects every sibling
-                        # instance: zero candidates, exactly.  With a
-                        # tracker attached those rejections still count
-                        # as failed theta evaluations, keeping the
-                        # observed selectivity unbiased.
-                        if tracked:
-                            self._observe_excluded(
-                                node.range_predicate,
-                                sum(
-                                    1
-                                    for _ in sibling.store.probe(
-                                        node.probe_index,
-                                        key,
-                                        pm.trigger_seq,
-                                    )
-                                ),
-                            )
-                        return []
-                    if tracked:
-                        on_excluded = self._excluded_observer(
-                            node.range_predicate
-                        )
-                candidates = sibling.store.probe(
-                    node.probe_index,
-                    key,
-                    pm.trigger_seq,
-                    bound=bound,
-                    on_excluded=on_excluded,
-                )
-                if node.probe_key_of is not None and sibling.store.index_exact(
-                    node.probe_index
-                ):
-                    # Bucket-guaranteed: skip the extracted equalities.
-                    predicates = parent.residual_predicates
-                    if self.compiled:
-                        kernel = node.merge_resid
-        if candidates is None:
-            candidates = sibling.store.iter_before(pm.trigger_seq)
+        candidates, predicates, kernel = node.path.candidates(
+            pm.bindings, pm.trigger_seq
+        )
         if stat is not None:
             candidates = list(candidates)
             stat.probed += len(candidates)
         created: list[tuple[PartialMatch, _RuntimeNode]] = []
         for other in candidates:
-            merged = self._try_merge(pm, other, parent, predicates, kernel)
+            merged = self._try_merge(pm, other, predicates, kernel)
             if merged is not None:
                 created.append((merged, parent))
                 if self._consuming:
@@ -542,9 +353,8 @@ class TreeEngine(BaseEngine):
         self,
         pm: PartialMatch,
         other: PartialMatch,
-        parent: _RuntimeNode,
-        predicates: Optional[list] = None,
-        kernel=INTERPRET,
+        predicates: list,
+        kernel,
     ) -> Optional[PartialMatch]:
         if pm.event_seqs() & other.event_seqs():
             return None
@@ -565,8 +375,6 @@ class TreeEngine(BaseEngine):
                 return None
             return pm.merged(other, max(pm.trigger_seq, other.trigger_seq))
         merged = pm.merged(other, max(pm.trigger_seq, other.trigger_seq))
-        if predicates is None:
-            predicates = parent.cross_predicates
         for predicate in predicates:
             self.metrics.predicate_evaluations += 1
             passed = predicate.evaluate(merged.bindings)

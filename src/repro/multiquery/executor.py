@@ -30,10 +30,10 @@ with cross-query shared state.
 
 Shared nodes store their instances in the same
 :class:`~repro.engines.stores.PartialMatchStore` as the single-query
-engines: every DAG edge whose join carries ``Attr == Attr`` predicates
-registers a hash index on the sibling's store (translated through the
-edge renaming), and per-node window expiry is watermark-gated instead
-of allocating a fresh list per shared node per event.
+engines, with watermark-gated per-node window expiry, and every DAG
+edge probes its sibling's store through the same
+:class:`~repro.engines.access.AccessPath` as a tree node — built by
+:func:`~repro.engines.access.join_paths` with the edge renamings.
 """
 
 from __future__ import annotations
@@ -42,22 +42,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..engines.base import INTERPRET, _PendingMatch
+from ..engines.access import AccessPath, join_paths
+from ..engines.base import INTERPRET, _PendingMatch, traced
 from ..engines.matches import Match, PartialMatch
 from ..engines.metrics import EngineMetrics
 from ..engines.negation import NegationChecker, PreparedSpec
-from ..engines.stores import (
-    EMPTY_RANGE,
-    NO_BOUND,
-    PartialMatchStore,
-    equality_key_pairs,
-    make_key_fn,
-    make_value_fn,
-    probe_key,
-    range_key_pairs,
-    range_probe_value,
-)
-from ..patterns.compile import compile_event_kernel, compile_merge_kernel
+from ..engines.stores import PartialMatchStore
+from ..patterns.compile import compile_event_kernel
 from ..events import Event, Stream
 from .sharing import QueryRoot, SharedJoin, SharedLeaf, SharedPlan
 
@@ -185,42 +176,16 @@ class _QueryState:
 
 
 class _Edge:
-    """One parent hookup of a DAG node: renames plus the probe path.
+    """One parent hookup of a DAG node: the renamings into the parent's
+    namespace plus the access path into the sibling's store."""
 
-    ``probe_index``/``probe_key_of`` are set when the parent join has
-    ``Attr == Attr`` cross-predicates: the sibling's store then carries a
-    hash index keyed on its side of those predicates, and this node's
-    bindings supply the probe key (see :mod:`repro.engines.stores`).
-    """
+    __slots__ = ("parent", "my_map", "other_map", "path")
 
-    __slots__ = (
-        "parent",
-        "my_map",
-        "other_map",
-        "sibling",
-        "probe_index",
-        "probe_key_of",
-        "probe_bound_of",
-        "residual_predicates",
-        "merge_full",
-        "merge_resid",
-    )
-
-    def __init__(self, parent, my_map, other_map, sibling) -> None:
+    def __init__(self, parent, my_map, other_map, path: AccessPath) -> None:
         self.parent = parent
         self.my_map = my_map
         self.other_map = other_map
-        self.sibling = sibling
-        self.probe_index: Optional[int] = None
-        self.probe_key_of = None
-        self.probe_bound_of = None
-        # cross_predicates minus the equalities the hash bucket already
-        # guarantees; evaluated on bucket candidates only.
-        self.residual_predicates: Tuple = ()
-        # Compiled kernels (repro.patterns.compile) over the two child
-        # bindings dicts, renamings resolved at compile time.
-        self.merge_full = INTERPRET
-        self.merge_resid = INTERPRET
+        self.path = path
 
 
 class _RuntimeNode:
@@ -292,18 +257,33 @@ class MultiQueryEngine:
                     node.right_map[v]
                     for v in runtime[node.right.index].kleene
                 )
-        self._runtime = runtime
         for node in plan.nodes:
             if isinstance(node, SharedJoin):
                 parent = runtime[node.index]
                 left = runtime[node.left.index]
                 right = runtime[node.right.index]
-                left_edge = _Edge(parent, node.left_map, node.right_map, right)
-                right_edge = _Edge(parent, node.right_map, node.left_map, left)
-                left.parents.append(left_edge)
-                right.parents.append(right_edge)
-                if indexed:
-                    self._index_join(node, left, right, left_edge, right_edge)
+                # Cross-predicates live in the join's namespace; the
+                # inverted edge renamings key each child store directly
+                # over its own representative bindings.
+                from_left, from_right = join_paths(
+                    node.cross_predicates,
+                    node.left_map.values(),
+                    node.right_map.values(),
+                    parent.kleene,
+                    left.store,
+                    right.store,
+                    self.metrics,
+                    indexed=indexed,
+                    codegen=codegen,
+                    left_rename={pv: cv for cv, pv in node.left_map.items()},
+                    right_rename={pv: cv for cv, pv in node.right_map.items()},
+                )
+                left.parents.append(
+                    _Edge(parent, node.left_map, node.right_map, from_left)
+                )
+                right.parents.append(
+                    _Edge(parent, node.right_map, node.left_map, from_right)
+                )
         self._nodes = [runtime[node.index] for node in plan.nodes]
         self._leaves = [
             runtime[node.index]
@@ -319,8 +299,8 @@ class MultiQueryEngine:
             self._compile_kernels()
 
     def _compile_kernels(self) -> None:
-        """Fuse leaf filters and per-edge cross-predicate lists into
-        compiled kernels, DAG renamings resolved at compile time."""
+        """Fuse leaf filters and every edge's access-path predicate lists
+        into compiled kernels, DAG renamings resolved at compile time."""
         for leaf in self._leaves:
             spec = leaf.spec
             if spec.filters:
@@ -331,108 +311,9 @@ class MultiQueryEngine:
                     count="all",
                     codegen=self.codegen,
                 )
-        for node in self.plan.nodes:
-            if not isinstance(node, SharedJoin):
-                continue
-            parent = self._runtime[node.index]
-            kleene = parent.kleene
-            for edge in (
-                self._runtime[node.left.index].parents
-                + self._runtime[node.right.index].parents
-            ):
-                if edge.parent is not parent or edge.merge_full is not INTERPRET:
-                    continue
-                inv_my = {pv: cv for cv, pv in edge.my_map.items()}
-                inv_other = {pv: cv for cv, pv in edge.other_map.items()}
-                common = dict(
-                    left_rename=inv_my,
-                    right_rename=inv_other,
-                    codegen=self.codegen,
-                )
-                edge.merge_full = compile_merge_kernel(
-                    node.cross_predicates,
-                    set(edge.my_map.values()),
-                    set(edge.other_map.values()),
-                    kleene,
-                    self.metrics,
-                    **common,
-                )
-                edge.merge_resid = compile_merge_kernel(
-                    edge.residual_predicates,
-                    set(edge.my_map.values()),
-                    set(edge.other_map.values()),
-                    kleene,
-                    self.metrics,
-                    **common,
-                )
-
-    def _index_join(
-        self,
-        node: SharedJoin,
-        left: _RuntimeNode,
-        right: _RuntimeNode,
-        left_edge: _Edge,
-        right_edge: _Edge,
-    ) -> None:
-        """Hash-partition both child stores on the join's equality keys.
-
-        The cross-predicates live in the join's namespace; the key specs
-        are translated back through the edge renamings so each child
-        store is keyed directly over its own representative bindings.
-        A self-join (both edges onto the same store) simply registers
-        two indexes there.
-        """
-        left_spec, right_spec, extracted = equality_key_pairs(
-            node.cross_predicates,
-            set(node.left_map.values()),
-            set(node.right_map.values()),
-            self._runtime[node.index].kleene,
-        )
-        range_spec = range_key_pairs(
-            node.cross_predicates,
-            set(node.left_map.values()),
-            set(node.right_map.values()),
-            self._runtime[node.index].kleene,
-        )
-        if not left_spec and range_spec is None:
-            return
-        skip = set(map(id, extracted))
-        residual = tuple(
-            p for p in node.cross_predicates if id(p) not in skip
-        )
-        left_edge.residual_predicates = residual
-        right_edge.residual_predicates = residual
-        inv_left = {pv: cv for cv, pv in node.left_map.items()}
-        inv_right = {pv: cv for cv, pv in node.right_map.items()}
-        kleene = self._runtime[node.index].kleene
-        left_key = right_key = None
-        if left_spec:
-            left_key = make_key_fn(
-                tuple((inv_left[v], attr) for v, attr in left_spec),
-                frozenset(inv_left[v] for v in kleene if v in inv_left),
-            )
-            right_key = make_key_fn(
-                tuple((inv_right[v], attr) for v, attr in right_spec),
-                frozenset(inv_right[v] for v in kleene if v in inv_right),
-            )
-        left_val = right_val = None
-        left_op = right_op = None
-        if range_spec is not None:
-            left_item, left_op, right_item, right_op, _ = range_spec
-            left_val = make_value_fn((inv_left[left_item[0]], left_item[1]))
-            right_val = make_value_fn(
-                (inv_right[right_item[0]], right_item[1])
-            )
-        left_edge.probe_index = right.store.add_index(
-            right_key, value_of=right_val, op=right_op
-        )
-        left_edge.probe_key_of = left_key
-        left_edge.probe_bound_of = left_val
-        right_edge.probe_index = left.store.add_index(
-            left_key, value_of=left_val, op=left_op
-        )
-        right_edge.probe_key_of = right_key
-        right_edge.probe_bound_of = right_val
+        for node in self._nodes:
+            for edge in node.parents:
+                edge.path.compile()
 
     # -- plan-DAG tracing ----------------------------------------------------
     def set_tracer(self, tracer) -> None:
@@ -552,70 +433,27 @@ class MultiQueryEngine:
             if node.parents:
                 node.store.insert(pm)
                 if tracing:
+                    # Pairing work belongs to the parent join node.
                     for edge in node.parents:
-                        queue.extend(self._traced_pairings(pm, edge))
+                        queue.extend(
+                            traced(
+                                self, edge.parent.tstat, self._pairings,
+                                pm, edge,
+                            )
+                        )
                 else:
                     for edge in node.parents:
                         queue.extend(self._pairings(pm, edge))
         return matches
 
-    def _traced_pairings(
-        self, pm: PartialMatch, edge: _Edge
-    ) -> List[Tuple[PartialMatch, _RuntimeNode]]:
-        """Tracer-attached pairing: wall time and index counter deltas
-        attributed to the parent join node."""
-        stat = edge.parent.tstat
-        metrics = self.metrics
-        ip0, ih0 = metrics.index_probes, metrics.index_hits
-        rp0, rh0 = metrics.range_probes, metrics.range_hits
-        started = self._tracer.clock()
-        created = self._pairings(pm, edge, stat=stat)
-        stat.wall += self._tracer.clock() - started
-        stat.index_probes += metrics.index_probes - ip0
-        stat.index_hits += metrics.index_hits - ih0
-        stat.range_probes += metrics.range_probes - rp0
-        stat.range_hits += metrics.range_hits - rh0
-        return created
-
     def _pairings(
         self, pm: PartialMatch, edge: _Edge, stat=None
     ) -> List[Tuple[PartialMatch, _RuntimeNode]]:
-        """Combine a new instance with earlier instances of the sibling.
-
-        With an equality index the sibling store yields one hash bucket
-        (already bounded to strictly earlier triggers); otherwise the
-        trigger bound is still a bisect, never a per-element check.
-        """
-        sibling = edge.sibling
-        candidates = None
-        predicates = edge.parent.spec.cross_predicates
-        kernel = edge.merge_full if self.compiled else INTERPRET
-        if edge.probe_index is not None:
-            key = (
-                ()
-                if edge.probe_key_of is None
-                else probe_key(edge.probe_key_of, pm.bindings)
-            )
-            if key is not None:
-                bound = NO_BOUND
-                if edge.probe_bound_of is not None:
-                    bound = range_probe_value(edge.probe_bound_of, pm.bindings)
-                    if bound is EMPTY_RANGE:
-                        # The theta predicate rejects every sibling
-                        # instance: zero candidates, exactly.
-                        return []
-                candidates = sibling.store.probe(
-                    edge.probe_index, key, pm.trigger_seq, bound=bound
-                )
-                if edge.probe_key_of is not None and sibling.store.index_exact(
-                    edge.probe_index
-                ):
-                    # Bucket-guaranteed: skip the extracted equalities.
-                    predicates = edge.residual_predicates
-                    if self.compiled:
-                        kernel = edge.merge_resid
-        if candidates is None:
-            candidates = sibling.store.iter_before(pm.trigger_seq)
+        """Combine a new instance with earlier instances of the sibling,
+        found through the edge's access path."""
+        candidates, predicates, kernel = edge.path.candidates(
+            pm.bindings, pm.trigger_seq
+        )
         if stat is not None:
             candidates = list(candidates)
             stat.probed += len(candidates)
@@ -642,8 +480,8 @@ class MultiQueryEngine:
         other: PartialMatch,
         other_map: dict,
         parent: _RuntimeNode,
-        predicates=None,
-        kernel=INTERPRET,
+        predicates,
+        kernel,
     ) -> Optional[PartialMatch]:
         if pm.event_seqs() & other.event_seqs():
             return None
@@ -668,8 +506,6 @@ class MultiQueryEngine:
         )
         if kernel is not INTERPRET:
             return merged
-        if predicates is None:
-            predicates = parent.spec.cross_predicates
         for predicate in predicates:
             self.metrics.predicate_evaluations += 1
             if not predicate.evaluate(merged.bindings):

@@ -1,6 +1,8 @@
 """Unit tests for engine building blocks: buffers, matches, metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engines import (
     EngineMetrics,
@@ -200,6 +202,47 @@ class TestEngineMetrics:
         assert merged.peak_partial_matches == 4
         assert merged.peak_buffered_events == 9
         assert merged.events_processed == 15
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_declared_merge_matches_hand_written_oracle(self, data):
+        """``merge`` is one loop over the declared instrument merge
+        rules; it must agree field by field with the explicit
+        constructor it replaced, in every merge mode."""
+        from repro.engines.instruments import INSTRUMENTS
+
+        from .metrics_merge_oracle import merge_oracle
+
+        latency = st.floats(0.0, 100.0, allow_nan=False)
+
+        def draw_metrics() -> EngineMetrics:
+            metrics = EngineMetrics()
+            for entry in INSTRUMENTS:
+                if entry.kind == "samples":
+                    value = data.draw(st.lists(latency, max_size=5))
+                elif entry.kind == "histogram":
+                    value = LatencyHistogram.of(
+                        data.draw(st.lists(latency, max_size=5))
+                    )
+                else:
+                    value = data.draw(st.integers(0, 10**6))
+                setattr(metrics, entry.name, value)
+            return metrics
+
+        first, second = draw_metrics(), draw_metrics()
+        for disjoint_streams in (False, True):
+            for concurrent in (False, True):
+                got = first.merge(second, disjoint_streams, concurrent)
+                want = merge_oracle(first, second, disjoint_streams, concurrent)
+                for entry in INSTRUMENTS:
+                    mine = getattr(got, entry.name)
+                    oracle = getattr(want, entry.name)
+                    if entry.kind == "histogram":
+                        mine, oracle = (
+                            [getattr(h, slot) for slot in h.__slots__]
+                            for h in (mine, oracle)
+                        )
+                    assert mine == oracle, entry.name
 
 
 class TestLatencyHistogram:

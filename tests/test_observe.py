@@ -250,7 +250,11 @@ class TestObservationNeutrality:
         assert sum(n.range_probes for n in tracer.nodes) > 0
         assert sum(n.matches for n in tracer.nodes) == len(matches)
 
-    def test_bisect_feedback_matches_scan_evaluation(self, monkeypatch):
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("engine_cls", [NFAEngine, TreeEngine])
+    def test_bisect_feedback_matches_scan_evaluation(
+        self, monkeypatch, engine_cls, compiled
+    ):
         """Satellite regression: candidates a sorted-run bisect excludes
         are reported to the SelectivityTracker as failed theta
         evaluations — the observed (key, outcome) multiset must equal
@@ -265,10 +269,14 @@ class TestObservationNeutrality:
 
         stream = rand_stream(13, count=120)
         d = decompose(parse_pattern(RANGE_PATTERN))
-        order = next(iter(enumerate_orders(d.positive_variables)))
+        plans = (
+            enumerate_orders if engine_cls is NFAEngine
+            else enumerate_bushy_trees
+        )
+        plan = next(iter(plans(d.positive_variables)))
 
         def observed() -> Counter:
-            engine = NFAEngine(d, order, indexed=True, compiled=False)
+            engine = engine_cls(d, plan, indexed=True, compiled=compiled)
             tracker = StubTracker()
             engine.set_selectivity_tracker(tracker)
             engine.run(stream)
@@ -278,7 +286,7 @@ class TestObservationNeutrality:
         # Disable the bisect narrowing only: every bucket candidate now
         # has the extracted range predicate evaluated for real.
         monkeypatch.setattr(
-            "repro.engines.nfa.range_probe_value",
+            "repro.engines.access.range_probe_value",
             lambda value_of, subject: NO_BOUND,
         )
         scanned = observed()

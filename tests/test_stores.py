@@ -200,23 +200,23 @@ class TestVariableBuffer:
     def test_indexed_probe_bucket_and_trigger_bound(self):
         metrics = EngineMetrics()
         buffer = VariableBuffer("a", "A", metrics=metrics)
-        buffer.set_index(lambda e: (e["x"],))
+        index = buffer.set_index(lambda e: (e["x"],))
         for i in range(6):
             buffer.offer(ev("A", float(i), i, x=i % 2))
-        assert [e.seq for e in buffer.probe((0,), 4)] == [0, 2]
-        assert [e.seq for e in buffer.probe((1,), 99)] == [1, 3, 5]
-        assert list(buffer.probe((7,), 99)) == []
+        assert [e.seq for e in buffer.probe(index, (0,), 4)] == [0, 2]
+        assert [e.seq for e in buffer.probe(index, (1,), 99)] == [1, 3, 5]
+        assert list(buffer.probe(index, (7,), 99)) == []
         assert metrics.index_probes == 3
         assert metrics.index_hits == 2
 
     def test_probe_respects_prune_and_tombstones(self):
         buffer = VariableBuffer("a", "A")
-        buffer.set_index(lambda e: (e["x"],))
+        index = buffer.set_index(lambda e: (e["x"],))
         for i in range(6):
             buffer.offer(ev("A", float(i), i, x=0))
         buffer.remove_seq(3)
         buffer.prune(2.0)
-        assert [e.seq for e in buffer.probe((0,), 99)] == [2, 4, 5]
+        assert [e.seq for e in buffer.probe(index, (0,), 99)] == [2, 4, 5]
 
     def test_index_exact_flags_overflow(self):
         store = PartialMatchStore()
@@ -226,11 +226,11 @@ class TestVariableBuffer:
         store.insert(pm_of("a", ev("A", 1.0, 1, x=[1])))  # unhashable
         assert not store.index_exact(index)
         buffer = VariableBuffer("a", "A")
-        buffer.set_index(lambda e: (e["x"],))
+        index = buffer.set_index(lambda e: (e["x"],))
         buffer.offer(ev("A", 0.0, 0, x=5))
-        assert buffer.index_exact
+        assert buffer.index_exact(index)
         buffer.offer(ev("A", 1.0, 1, x=[1]))
-        assert not buffer.index_exact
+        assert not buffer.index_exact(index)
 
     def test_buffer_index_does_not_leak_unique_keys(self):
         # Regression: buckets of never-reprobed keys must be reclaimed
@@ -420,7 +420,7 @@ class TestBufferRangeProbes:
         metrics = EngineMetrics()
         buffer = VariableBuffer("b", "B", metrics=metrics)
         key_of = (lambda e: (e["k"],)) if key else None
-        buffer.set_index(key_of, value_of=lambda e: e["v"], op=op)
+        self.index = buffer.set_index(key_of, value_of=lambda e: e["v"], op=op)
         return buffer, metrics
 
     def test_bisect_selects_range_in_seq_order(self):
@@ -432,7 +432,7 @@ class TestBufferRangeProbes:
         ]
         for event in events:
             buffer.offer(event)
-        got = list(buffer.probe((), trigger_seq=10, bound=4.0))
+        got = list(buffer.probe(self.index, (), trigger_seq=10, bound=4.0))
         assert got == [events[0], events[2]]  # seq order, not value order
         assert metrics.range_probes == 1 and metrics.range_hits == 1
 
@@ -443,7 +443,7 @@ class TestBufferRangeProbes:
             buffer.offer(event)
         buffer.remove_seq(2)
         buffer.prune(0.15)  # seqs 0 and 1 (ts 0.0, 0.1) expire
-        got = list(buffer.probe((), trigger_seq=10, bound=99.0))
+        got = list(buffer.probe(self.index, (), trigger_seq=10, bound=99.0))
         assert [e.seq for e in got] == [3, 4, 5]
 
     def test_hash_and_range_compose_on_buffers(self):
@@ -453,7 +453,7 @@ class TestBufferRangeProbes:
         too_big = ev("B", 0.3, 2, k=1, v=9.0)
         for event in (inside, wrong_key, too_big):
             buffer.offer(event)
-        assert list(buffer.probe((1,), 99, bound=5.0)) == [inside]
+        assert list(buffer.probe(self.index, (1,), 99, bound=5.0)) == [inside]
 
     def test_range_runs_do_not_leak_under_unbounded_probes(self):
         """Regression: with every probe taking the non-range path
@@ -468,7 +468,7 @@ class TestBufferRangeProbes:
             buffer.offer(ev("B", 0.001 * i, i, v=float(i % 10)))
             buffer.prune(0.001 * i - 0.05)  # ~50-event window
             # Non-range probe: trims the bucket prefix, not the runs.
-            list(buffer.probe((), trigger_seq=i, bound=NO_BOUND))
+            list(buffer.probe(self.index, (), trigger_seq=i, bound=NO_BOUND))
         run_entries = sum(
             len(bucket.rvals) + len(bucket.runordered)
             for bucket in buffer._buckets.values()
