@@ -3,7 +3,11 @@
 :class:`BaseEngine` implements everything that is identical between the
 order-based (lazy NFA) and tree-based (ZStream-style) runtimes:
 
-* per-variable windowed buffers with unary-filter admission;
+* the per-event floor: one flat store list and the variable and
+  negation buffers share one :class:`~repro.engines.stores.Holdings`
+  tally, whose watermark lets an event skip the whole expiry sweep with
+  one comparison and whose maintained counts feed the peak metrics —
+  neither cost grows with the number of stores or buffers;
 * predicate checking with instrumentation;
 * negation handling — incremental bounded checks plus the *pending* set
   for ranges extending into the future (Section 5.3);
@@ -34,14 +38,14 @@ from typing import Deque, Iterator, Optional
 
 from ..errors import EngineError
 from ..events import Event, Stream
-from ..patterns.compile import compile_event_kernel
 from ..patterns.predicates import Adjacent, Predicate, TimestampOrder
 from ..patterns.transformations import DecomposedPattern
 from .buffers import VariableBuffer
 from .matches import Match, PartialMatch
 from .metrics import EngineMetrics
-from .negation import NegationChecker, PreparedSpec
+from .negation import NegationChecker
 from .snapshot import EngineSnapshot, describe_partial_match, replay
+from .stores import Holdings, PartialMatchStore
 
 SELECTION_ANY = "any"
 SELECTION_NEXT = "next"
@@ -78,19 +82,6 @@ def traced(engine, stat, work, *args):
     stat.range_probes += metrics.range_probes - rp0
     stat.range_hits += metrics.range_hits - rh0
     return created
-
-
-class _PendingMatch:
-    """A complete match waiting for a trailing negation range to close."""
-
-    __slots__ = ("pm", "deadline", "specs")
-
-    def __init__(
-        self, pm: PartialMatch, deadline: float, specs: list[PreparedSpec]
-    ) -> None:
-        self.pm = pm
-        self.deadline = deadline
-        self.specs = specs
 
 
 class BaseEngine:
@@ -142,29 +133,18 @@ class BaseEngine:
             v: list(self._conditions.involving(v)) for v, _ in
             decomposed.positives
         }
+        # The runtimes register their stores (the NFA its buffers) here.
+        self._held = Holdings()
+        self._stores: list[PartialMatchStore] = []
         self._buffers: dict[str, VariableBuffer] = {}
-        for variable, type_name in decomposed.positives:
-            unary = tuple(self._conditions.filters_for(variable))
-            unary_filter = None
-            if unary:
-                def unary_filter(event, _preds=unary, _var=variable,
-                                 _engine=self):
-                    for p in _preds:
-                        passed = p.evaluate({_var: event})
-                        if _engine._sel_tracker is not None:
-                            _engine._observe_predicate(p, passed)
-                        if not passed:
-                            return False
-                    return True
-            self._buffers[variable] = VariableBuffer(
-                variable, type_name, unary_filter, metrics=self.metrics
-            )
+        # NodeStat per entry of _stores while traced (expiry attribution).
+        self._expiry_stats: Optional[list] = None
         self._negation = NegationChecker(
             decomposed.negations,
             decomposed.negation_conditions,
             self.window,
+            holdings=self._held,
         )
-        self._pending: list[_PendingMatch] = []
         self._consumed: set[int] = set()
         self._now = float("-inf")
         self._event_wall_started = 0.0
@@ -200,6 +180,24 @@ class BaseEngine:
     # -- public API --------------------------------------------------------
     def process(self, event: Event) -> list[Match]:
         """Feed one event; return the matches it completed."""
+        matches = self._advance_time(event)
+        if self._negation.active:
+            self._negation.offer_against(event)
+        admitted = self._admit(event)
+        if admitted:
+            matches.extend(self._arrive(event, admitted))
+        held = self._held
+        self.metrics.note_state(
+            held.partial_matches + held.pending, held.events
+        )
+        return matches
+
+    def _admit(self, event: Event) -> list[str]:
+        """Engine-specific: the variables ``event`` is admitted for."""
+        raise NotImplementedError
+
+    def _arrive(self, event: Event, admitted: list[str]) -> list[Match]:
+        """Engine-specific: join the admitted event; return matches."""
         raise NotImplementedError
 
     def run(self, stream: Stream) -> list[Match]:
@@ -223,17 +221,18 @@ class BaseEngine:
     def finalize(self) -> list[Match]:
         """End-of-stream: release pending matches (no more events can
         violate their trailing negation ranges)."""
-        matches = [
-            self._make_match(entry.pm, entry.deadline)
-            for entry in self._pending
-        ]
-        self._pending.clear()
-        return matches
+        pending = self._negation.pending
+        self._negation.keep_pending([])
+        return [self._make_match(entry.pm, entry.deadline) for entry in pending]
 
     # -- live plan migration ------------------------------------------------
     def iter_partial_matches(self) -> Iterator[PartialMatch]:
-        """All live partial-match instances (engine-specific stores)."""
-        raise NotImplementedError
+        """All live partial-match instances, store by store."""
+        for store in self._stores:
+            yield from store
+
+    def live_partial_matches(self) -> int:
+        return self._held.partial_matches
 
     def export_state(self) -> EngineSnapshot:
         """Plan-independent snapshot: window events + in-flight matches.
@@ -254,7 +253,7 @@ class BaseEngine:
             ),
             pending=tuple(
                 (describe_partial_match(entry.pm), entry.deadline)
-                for entry in self._pending
+                for entry in self._negation.pending
             ),
         )
 
@@ -328,12 +327,11 @@ class BaseEngine:
             buffer.remove_seq(seq)
         self._negation.retract(seq)
         self._purge_consumed(frozenset((seq,)))
-        if self._pending:
-            self._pending = [
-                entry
-                for entry in self._pending
-                if not entry.pm.contains_seq(seq)
-            ]
+        negation = self._negation
+        if negation.pending:
+            negation.keep_pending(
+                [e for e in negation.pending if not e.pm.contains_seq(seq)]
+            )
         self._consumed.discard(seq)
         self.metrics.retractions_processed += 1
 
@@ -399,27 +397,10 @@ class BaseEngine:
             self._recompile_kernels()
 
     def _recompile_kernels(self) -> None:
-        """(Re)build compiled kernels against the current tracker.
-
-        The base layer owns the per-variable buffer admission filters;
-        engine subclasses extend this with their node/transition
-        kernels.  Called at engine build and on tracker (de)attachment.
-        """
-        for variable, buffer in self._buffers.items():
-            unary = tuple(self._conditions.filters_for(variable))
-            if not unary:
-                continue
-            buffer.set_filter(
-                compile_event_kernel(
-                    unary,
-                    variable,
-                    self.metrics,
-                    tracker=self._sel_tracker,
-                    sel_key_by_pred=self._sel_key_by_pred,
-                    count="none",
-                    codegen=self.codegen,
-                )
-            )
+        """Engine-specific: (re)build compiled kernels against the
+        current tracker.  Called at engine build and on tracker
+        (de)attachment."""
+        raise NotImplementedError
 
     def _observe_predicate(self, predicate: Predicate, passed: bool) -> None:
         key = self._sel_key_by_pred.get(id(predicate))
@@ -445,7 +426,8 @@ class BaseEngine:
 
     # -- shared plumbing ----------------------------------------------------
     def _advance_time(self, event: Event) -> list[Match]:
-        """Prune windows and release due pending matches."""
+        """Expire what left the window (only once the cutoff passed the
+        holdings watermark) and release due pending matches."""
         self.metrics.events_processed += 1
         self._event_wall_started = time.perf_counter()
         self._now = event.timestamp
@@ -455,43 +437,26 @@ class BaseEngine:
         window_events = self._window_events
         while window_events and window_events[0].timestamp < cutoff:
             window_events.popleft()
-        for buffer in self._buffers.values():
-            buffer.prune(cutoff)
-        self._negation.prune(cutoff)
+        held = self._held
+        sweep = cutoff > held.oldest
+        if sweep:
+            held.oldest = float("inf")  # each prune / expire re-reports
+            for buffer in self._buffers.values():
+                buffer.prune(cutoff)
+            self._negation.prune(cutoff)
         released: list[Match] = []
-        if self._pending:
-            still: list[_PendingMatch] = []
-            for entry in self._pending:
-                if entry.deadline < self._now:
-                    released.append(self._make_match(entry.pm, entry.deadline))
-                else:
-                    still.append(entry)
-            self._pending = still
+        if self._negation.pending:
+            released = self._negation.release(self._now, self._make_match)
+        if sweep:
+            # After the release, which may consume (and so purge) first.
+            stats = self._expiry_stats
+            if stats is None:
+                for store in self._stores:
+                    store.expire(cutoff)
+            else:
+                for store, stat in zip(self._stores, stats):
+                    stat.expired += store.expire(cutoff)
         return released
-
-    def _offer_negations(self, event: Event) -> None:
-        """Buffer forbidden-event candidates and kill violated pendings."""
-        if not self._negation.active:
-            return
-        if not self._negation.offer(event):
-            return
-        survivors: list[_PendingMatch] = []
-        for entry in self._pending:
-            dead = any(
-                self._negation.violated(spec, entry.pm, candidate=event)
-                for spec in entry.specs
-            )
-            if not dead:
-                survivors.append(entry)
-        self._pending = survivors
-
-    def _admit(self, event: Event) -> list[str]:
-        """Offer ``event`` to every variable buffer; return admitted vars."""
-        return [
-            variable
-            for variable, buffer in self._buffers.items()
-            if buffer.offer(event)
-        ]
 
     def _check_extension(
         self,
@@ -500,6 +465,7 @@ class BaseEngine:
         event: Event,
         predicates: Optional[list] = None,
         kernel=INTERPRET,
+        disjoint: bool = False,
     ) -> bool:
         """Window + reuse + predicate check for binding ``event``.
 
@@ -509,10 +475,13 @@ class BaseEngine:
         replaces the interpreted evaluation with a compiled conjunction
         (``None`` = empty predicate list, vacuously true); the
         :data:`INTERPRET` sentinel keeps the interpreted path.
+        ``disjoint`` is the plan-time fact that no variable ``pm``
+        binds has ``variable``'s event type, so ``pm`` cannot already
+        hold ``event`` and the reuse check is skipped.
         """
         if event.seq in self._consumed:
             return False
-        if pm.contains_seq(event.seq):
+        if not disjoint and pm.contains_seq(event.seq):
             return False
         if not pm.span_with(event, self.window):
             return False
@@ -571,25 +540,13 @@ class BaseEngine:
         the pending set (and returns None) when a trailing negation range
         is still open.
         """
-        for prepared in self._negation.leading_specs():
-            # Leading NOT: the range [max_ts − W, following) is final
-            # only now that the match is complete.
-            if self._negation.violated(prepared, pm):
-                return None
-        trailing = self._negation.trailing_specs()
-        if trailing:
-            open_specs: list[PreparedSpec] = []
-            deadline = float("-inf")
-            for prepared in trailing:
-                if self._negation.violated(prepared, pm):
-                    return None
-                spec_deadline = self._negation.deadline(prepared, pm)
-                if spec_deadline >= self._now:
-                    open_specs.append(prepared)
-                    deadline = max(deadline, spec_deadline)
-            if open_specs:
-                self._pending.append(_PendingMatch(pm, deadline, open_specs))
-                return None
+        negation = self._negation
+        # Leading NOT: the range [max_ts − W, following) is final only
+        # now that the match is complete.
+        if negation.active and not negation.completion(
+            pm, self._now, negation.leading_specs()
+        ):
+            return None
         return self._make_match(pm, self._now)
 
     def _make_match(self, pm: PartialMatch, detection_ts: float) -> Match:
@@ -620,22 +577,18 @@ class BaseEngine:
             for seq in seqs:
                 buffer.remove_seq(seq)
         self._purge_consumed(seqs)
-        if self._pending:
-            self._pending = [
-                entry
-                for entry in self._pending
-                if not (entry.pm.event_seqs() & seqs)
-            ]
+        negation = self._negation
+        if negation.pending:
+            negation.keep_pending(
+                [e for e in negation.pending if not e.pm.event_seqs() & seqs]
+            )
 
     def _purge_consumed(self, seqs: frozenset) -> None:
-        """Engine-specific: drop partial matches using consumed events."""
-        raise NotImplementedError
+        """Drop partial matches using consumed events from every store."""
+        for store in self._stores:
+            store.purge_seqs(seqs)
 
     # -- accounting ----------------------------------------------------------------
-    def _buffered_total(self) -> int:
-        total = sum(len(b) for b in self._buffers.values())
-        return total + self._negation.buffered_events()
-
     @staticmethod
     def _kleene_room(pm: PartialMatch, variable: str, limit: Optional[int]) -> bool:
         if limit is None:

@@ -30,7 +30,7 @@ from typing import Callable, Deque, Iterator, Optional
 
 from ..events import Event
 from .metrics import EngineMetrics
-from .stores import NO_BOUND, RANGE_OPS, nan_like, range_slice
+from .stores import NO_BOUND, RANGE_OPS, Holdings, nan_like, range_slice
 
 
 def _seq_boundary(events: list, trigger_seq: int) -> int:
@@ -77,6 +77,7 @@ class VariableBuffer:
         "_run_total",
         "_cutoff",
         "metrics",
+        "holdings",
     )
 
     def __init__(
@@ -85,6 +86,7 @@ class VariableBuffer:
         event_type: str,
         unary_filter: Optional[Callable[[Event], bool]] = None,
         metrics: Optional[EngineMetrics] = None,
+        holdings: Optional[Holdings] = None,
     ) -> None:
         self.variable = variable
         self.event_type = event_type
@@ -107,8 +109,13 @@ class VariableBuffer:
         # touching the runs — the runs' staleness must still be able to
         # trigger a rebuild.
         self._run_total = 0
+        # Bucket and range probes filter on the last prune's cutoff.  A
+        # prune the engine skips (nothing held older than its cutoff,
+        # see repro.engines.stores.Holdings) leaves it stale but exact:
+        # no buffered event lies between the two cutoffs.
         self._cutoff = float("-inf")
         self.metrics = metrics
+        self.holdings = holdings if holdings is not None else Holdings()
 
     def set_index(
         self,
@@ -158,6 +165,10 @@ class VariableBuffer:
         self._events.append(event)
         self._live[event.seq] = self._live.get(event.seq, 0) + 1
         self._size += 1
+        held = self.holdings
+        held.events += 1
+        if event.timestamp < held.oldest:
+            held.oldest = event.timestamp
         if self._key_of is not None or self._value_of is not None:
             self._index_event(event)
         return True
@@ -205,10 +216,12 @@ class VariableBuffer:
         self._run_total += 1
 
     def prune(self, cutoff_ts: float) -> None:
-        """Drop expired events and drain tombstones that reached the head."""
+        """Drop expired events and drain tombstones that reached the head;
+        the oldest survivor is reported to the holdings watermark."""
         self._cutoff = cutoff_ts
         events = self._events
         live = self._live
+        held = self.holdings
         while events and (
             events[0].timestamp < cutoff_ts or events[0].seq not in live
         ):
@@ -220,6 +233,9 @@ class VariableBuffer:
                 else:
                     live[seq] = copies - 1
                 self._size -= 1
+                held.events -= 1
+        if events and events[0].timestamp < held.oldest:
+            held.oldest = events[0].timestamp
         # Buckets drop their expired prefixes lazily, on probe; rebuild
         # the whole index once stale entries dominate so buckets of
         # never-reprobed keys (high-cardinality streams) cannot leak.
@@ -400,7 +416,9 @@ class VariableBuffer:
         The event is skipped by all iteration immediately and physically
         dropped when pruning reaches it — no per-removal rebuild.
         """
-        self._size -= self._live.pop(seq, 0)
+        copies = self._live.pop(seq, 0)
+        self._size -= copies
+        self.holdings.events -= copies
 
     def __len__(self) -> int:
         return self._size

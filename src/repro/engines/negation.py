@@ -6,7 +6,8 @@ positive events it depends on are already received".  For a timestamp-
 ordered stream this check is exact as soon as the temporal range in which
 the forbidden event could occur lies in the past; ranges extending into
 the future (trailing negation, and negation under AND) delay the match in
-a *pending* set until the range closes (see DESIGN.md).
+a *pending* set until the range closes (see DESIGN.md); the checker owns
+that set for every runtime.
 
 The admissible range of a forbidden event for a partial match ``pm``:
 
@@ -25,6 +26,7 @@ from ..patterns.predicates import ConditionSet
 from ..patterns.transformations import NegationSpec
 from .buffers import VariableBuffer
 from .matches import PartialMatch
+from .stores import Holdings
 
 
 class PreparedSpec:
@@ -68,6 +70,19 @@ class PreparedSpec:
         return lo, lo_inclusive, hi, hi_inclusive
 
 
+class PendingMatch:
+    """A complete match waiting for a trailing negation range to close."""
+
+    __slots__ = ("pm", "deadline", "specs")
+
+    def __init__(
+        self, pm: PartialMatch, deadline: float, specs: list[PreparedSpec]
+    ) -> None:
+        self.pm = pm
+        self.deadline = deadline
+        self.specs = specs
+
+
 def _binding_ts_max(pm: PartialMatch, variable: str) -> float:
     value = pm.bindings[variable]
     if isinstance(value, tuple):
@@ -90,6 +105,7 @@ class NegationChecker:
         specs: Iterable[NegationSpec],
         conditions: ConditionSet,
         window: float,
+        holdings: Optional[Holdings] = None,
     ) -> None:
         self.window = float(window)
         self.prepared = [PreparedSpec(spec, conditions) for spec in specs]
@@ -102,8 +118,11 @@ class NegationChecker:
                 def unary_filter(event, _preds=unary, _var=spec.variable):
                     return all(p.evaluate({_var: event}) for p in _preds)
             self._buffers[spec.variable] = VariableBuffer(
-                spec.variable, spec.event_type, unary_filter
+                spec.variable, spec.event_type, unary_filter,
+                holdings=holdings,
             )
+        self.holdings = holdings if holdings is not None else Holdings()
+        self.pending: list[PendingMatch] = []
 
     @property
     def active(self) -> bool:
@@ -135,6 +154,65 @@ class NegationChecker:
         """
         for buffer in self._buffers.values():
             buffer.remove_seq(seq)
+
+    # -- the pending set -----------------------------------------------------
+    def keep_pending(self, still: list[PendingMatch]) -> None:
+        """Replace the pending matches (the holdings count follows)."""
+        self.holdings.pending += len(still) - len(self.pending)
+        self.pending = still
+
+    def offer_against(self, event: Event) -> None:
+        """Buffer ``event`` as a forbidden candidate and drop the pending
+        matches it violates."""
+        if self.offer(event):
+            self.keep_pending(
+                [
+                    entry
+                    for entry in self.pending
+                    if not any(
+                        self.violated(spec, entry.pm, candidate=event)
+                        for spec in entry.specs
+                    )
+                ]
+            )
+
+    def release(self, now: float, emit) -> list:
+        """``emit(pm, deadline)`` every pending match whose range closed
+        before ``now``; return what the calls returned."""
+        released: list = []
+        still: list[PendingMatch] = []
+        for entry in self.pending:
+            if entry.deadline < now:
+                released.append(emit(entry.pm, entry.deadline))
+            else:
+                still.append(entry)
+        self.keep_pending(still)
+        return released
+
+    def completion(
+        self, pm: PartialMatch, now: float, checks: list[PreparedSpec]
+    ) -> bool:
+        """True when the complete match ``pm`` can be emitted now.  False
+        when a buffered forbidden event rules it out (``checks``, then
+        the trailing specs), or when it joins the pending set until its
+        trailing ranges still open at ``now`` close."""
+        for prepared in checks:
+            if self.violated(prepared, pm):
+                return False
+        open_specs: list[PreparedSpec] = []
+        deadline = float("-inf")
+        for prepared in self.trailing_specs():
+            if self.violated(prepared, pm):
+                return False
+            spec_deadline = self.deadline(prepared, pm)
+            if spec_deadline >= now:
+                open_specs.append(prepared)
+                deadline = max(deadline, spec_deadline)
+        if open_specs:
+            self.pending.append(PendingMatch(pm, deadline, open_specs))
+            self.holdings.pending += 1
+            return False
+        return True
 
     # -- checks -------------------------------------------------------------------
     def specs_checkable_with(self, bound: frozenset) -> list[PreparedSpec]:

@@ -19,8 +19,9 @@ binds at most one event per position, and events of reported matches are
 consumed.
 
 Each chain transition is a two-sided join between a state's instance
-store (a :class:`~repro.engines.stores.PartialMatchStore`, with
-watermark-gated window expiry) and the next variable's buffer.  How
+store (a :class:`~repro.engines.stores.PartialMatchStore`) and the next
+variable's buffer; both are expired by the base engine's
+watermark-gated sweep.  How
 each side finds its candidates in the other — hash bucket, theta
 bisect or scan — is one :class:`~repro.engines.access.AccessPath` per
 side, built by :func:`~repro.engines.access.transition_paths`.
@@ -31,10 +32,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..events import Event
+from ..patterns.compile import compile_event_kernel
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from .access import AccessPath, extension_kernel, transition_paths
 from .base import INTERPRET, SELECTION_ANY, BaseEngine, traced
+from .buffers import VariableBuffer
 from .matches import Match, PartialMatch
 from .stores import PartialMatchStore
 
@@ -67,6 +70,30 @@ class NFAEngine(BaseEngine):
         self._order = plan.variables
         self._n = len(self._order)
         self._position = {v: i for i, v in enumerate(self._order)}
+        # Per-variable windowed buffers with unary-filter admission.
+        for variable, type_name in decomposed.positives:
+            unary = tuple(self._conditions.filters_for(variable))
+            unary_filter = None
+            if unary:
+                def unary_filter(event, _preds=unary, _var=variable,
+                                 _engine=self):
+                    for p in _preds:
+                        passed = p.evaluate({_var: event})
+                        if _engine._sel_tracker is not None:
+                            _engine._observe_predicate(p, passed)
+                        if not passed:
+                            return False
+                    return True
+            self._buffers[variable] = VariableBuffer(
+                variable, type_name, unary_filter, metrics=self.metrics,
+                holdings=self._held,
+            )
+        # _disjoint[p]: no earlier position has order[p]'s event type, so
+        # binding order[p] onto an instance never needs the reuse check.
+        self._disjoint = [
+            self._types[v] not in {self._types[u] for u in self._order[:p]}
+            for p, v in enumerate(self._order)
+        ]
         # _states[s] holds instances with the first s variables bound, for
         # s in 1..n-1.  State n is normally transient (instances are
         # emitted immediately), but when the *last* plan position is a
@@ -74,8 +101,10 @@ class NFAEngine(BaseEngine):
         # later events can still grow the tuple (each growth emits a
         # further match) — the self-loop of the Kleene NFA state.
         self._states: dict[int, PartialMatchStore] = {
-            s: PartialMatchStore(self.metrics) for s in range(1, self._n + 1)
+            s: PartialMatchStore(self.metrics, self._held)
+            for s in range(1, self._n + 1)
         }
+        self._stores = list(self._states.values())
         self._absorbing_accept = (
             self._order[-1] in self._kleene
         )
@@ -119,9 +148,19 @@ class NFAEngine(BaseEngine):
         kernel doubles as the absorption kernel for a Kleene variable at
         that position (the new element is checked as a scalar either
         way), and both sides of a transition share one kernel pair.
+        Each variable buffer's admission filter is compiled too.
         """
-        super()._recompile_kernels()
         tracker, keys = self._sel_tracker, self._sel_key_by_pred
+        for variable, buffer in self._buffers.items():
+            unary = tuple(self._conditions.filters_for(variable))
+            if unary:
+                buffer.set_filter(
+                    compile_event_kernel(
+                        unary, variable, self.metrics, tracker=tracker,
+                        sel_key_by_pred=keys, count="none",
+                        codegen=self.codegen,
+                    )
+                )
         first = self._order[0]
         self._ext_full[0] = extension_kernel(
             self._preds_by_var[first], {first}, first, self._kleene,
@@ -138,7 +177,7 @@ class NFAEngine(BaseEngine):
         """One :class:`~repro.observe.trace.NodeStat` per chain position."""
         tracer = self._tracer
         if tracer is None:
-            self._tstats = None
+            self._tstats = self._expiry_stats = None
             return
         self._tstats = [
             tracer.register_node(
@@ -146,17 +185,19 @@ class NFAEngine(BaseEngine):
             )
             for position, variable in enumerate(self._order)
         ]
+        # _stores[i] is chain state i + 1, which binds position i.
+        self._expiry_stats = self._tstats
 
     # -- event loop -----------------------------------------------------------
-    def process(self, event: Event) -> list[Match]:
-        matches = self._advance_time(event)
-        self._expire_instances()
-        self._offer_negations(event)
-        admitted = self._admit(event)
-        if not admitted:
-            self._note_state()
-            return matches
+    def _admit(self, event: Event) -> list[str]:
+        """Offer ``event`` to every variable buffer; the admitting ones."""
+        return [
+            variable
+            for variable, buffer in self._buffers.items()
+            if buffer.offer(event)
+        ]
 
+    def _arrive(self, event: Event, admitted: list[str]) -> list[Match]:
         created: list[tuple[PartialMatch, int]] = []
         tstats = self._tstats
         for variable in admitted:
@@ -174,10 +215,7 @@ class NFAEngine(BaseEngine):
                         variable, position, event,
                     )
                 )
-
-        matches.extend(self._cascade(created))
-        self._note_state()
-        return matches
+        return self._cascade(created)
 
     # -- arrival-driven extensions -------------------------------------------------
     def _arrival_extensions(
@@ -205,27 +243,26 @@ class NFAEngine(BaseEngine):
             if stat is not None:
                 candidates = list(candidates)
                 stat.probed += len(candidates)
+            disjoint = self._disjoint[position]
             if self._consuming:
                 # Restrictive strategies: the event binds to at most one
                 # instance, and that instance advances (no fork).
                 for pm in candidates:
                     if self._check_extension(
-                        pm, variable, event, preds, kernel
+                        pm, variable, event, preds, kernel, disjoint
                     ):
-                        created.append(
-                            (self._bind(pm, variable, event), position + 1)
-                        )
+                        bound = self._bind(pm, variable, event, event.seq)
+                        created.append((bound, position + 1))
                         state.discard(pm)
                         self._buffers[variable].remove_seq(event.seq)
                         break
             else:
                 for pm in candidates:
                     if self._check_extension(
-                        pm, variable, event, preds, kernel
+                        pm, variable, event, preds, kernel, disjoint
                     ):
-                        created.append(
-                            (self._bind(pm, variable, event), position + 1)
-                        )
+                        bound = self._bind(pm, variable, event, event.seq)
+                        created.append((bound, position + 1))
 
         # Kleene absorption: instances whose *last* bound variable is this
         # Kleene variable may take one more event (fork, skip-till-any
@@ -246,18 +283,20 @@ class NFAEngine(BaseEngine):
         return created
 
     def _bind(
-        self, pm: PartialMatch, variable: str, event: Event
+        self, pm: PartialMatch, variable: str, event: Event, trigger_seq: int
     ) -> PartialMatch:
+        """Bind ``variable`` (Kleene: a one-event tuple); an arriving
+        event is the trigger, a buffered one keeps ``pm``'s."""
         if variable in self._kleene:
             bindings = dict(pm.bindings)
             bindings[variable] = (event,)
             return PartialMatch(
                 bindings,
-                event.seq,
+                trigger_seq,
                 min(pm.min_ts, event.timestamp),
                 max(pm.max_ts, event.timestamp),
             )
-        return pm.extended(variable, event)
+        return pm.extended(variable, event, trigger_seq=trigger_seq)
 
     def _check_first(self, variable: str, event: Event) -> bool:
         """Admission of the plan's first variable (unary filters only —
@@ -322,14 +361,17 @@ class NFAEngine(BaseEngine):
             candidates = list(candidates)
             stat.probed += len(candidates)
         created: list[tuple[PartialMatch, int]] = []
+        disjoint = self._disjoint[state]
         for event in candidates:
-            if self._check_extension(pm, variable, event, preds, kernel):
-                extended = self._bind_from_buffer(pm, variable, event)
+            if self._check_extension(
+                pm, variable, event, preds, kernel, disjoint
+            ):
+                extended = self._bind(pm, variable, event, pm.trigger_seq)
                 created.append((extended, state + 1))
                 if self._consuming:
                     # Advance with the earliest eligible event only; the
                     # instance takes ownership of that event.
-                    self._drop_instance(pm, state)
+                    self._states[state].discard(pm)
                     self._buffers[variable].remove_seq(event.seq)
                     break
         return created
@@ -352,54 +394,6 @@ class NFAEngine(BaseEngine):
                 )
                 created.append((absorbed, state))
         return created
-
-    def _bind_from_buffer(
-        self, pm: PartialMatch, variable: str, event: Event
-    ) -> PartialMatch:
-        """Bind a buffered (earlier) event — the trigger stays the newest
-        constituent, i.e. the current instance's trigger."""
-        if variable in self._kleene:
-            bindings = dict(pm.bindings)
-            bindings[variable] = (event,)
-            return PartialMatch(
-                bindings,
-                pm.trigger_seq,
-                min(pm.min_ts, event.timestamp),
-                max(pm.max_ts, event.timestamp),
-            )
-        return pm.extended(variable, event, trigger_seq=pm.trigger_seq)
-
-    def _drop_instance(self, pm: PartialMatch, state: int) -> None:
-        self._states[state].discard(pm)
-
-    # -- housekeeping ---------------------------------------------------------------
-    def _expire_instances(self) -> None:
-        """Watermark-gated: O(1) per state until something can expire."""
-        cutoff = self._now - self.window
-        tstats = self._tstats
-        if tstats is None:
-            for store in self._states.values():
-                store.expire(cutoff)
-        else:
-            for state, store in self._states.items():
-                tstats[state - 1].expired += store.expire(cutoff)
-
-    def _purge_consumed(self, seqs: frozenset) -> None:
-        for store in self._states.values():
-            store.purge_seqs(seqs)
-
-    def _note_state(self) -> None:
-        live = sum(len(v) for v in self._states.values()) + len(self._pending)
-        self.metrics.note_state(live, self._buffered_total())
-
-    # -- introspection ----------------------------------------------------------------
-    def live_partial_matches(self) -> int:
-        return sum(len(v) for v in self._states.values())
-
-    def iter_partial_matches(self):
-        """Live instances across every chain state."""
-        for store in self._states.values():
-            yield from store
 
     def __repr__(self) -> str:
         return f"NFAEngine(plan={self.plan!r}, selection={self.selection!r})"

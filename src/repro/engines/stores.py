@@ -25,10 +25,13 @@ extra cheap re-check — never to a different match set.
 
 **Watermark-gated, binary-search window expiry.**  The store maintains
 a parallel run sorted by ``min_ts`` (a partial match expires exactly
-when its earliest constituent leaves the window).  Per-event expiry is
-an O(1) watermark comparison until something can actually expire, then
-a ``bisect`` locates the dead prefix, which is dropped wholesale —
-instead of rebuilding every node's list on every event.
+when its earliest constituent leaves the window).  All stores and
+buffers of one engine share a :class:`Holdings` tally, so per-event
+expiry is one comparison of the engine's cutoff against the tally's
+watermark — however many stores the engine has — until something can
+actually expire; then a ``bisect`` per store locates the dead prefix,
+which is dropped wholesale.  The tally's live counts likewise spare
+the per-event peak sampling a sum over every structure.
 
 **Ordered ``trigger_seq`` iteration.**  Partial matches are inserted
 while processing their trigger event, so the primary run and every
@@ -88,6 +91,21 @@ EMPTY_RANGE = object()
 #: Compaction triggers once this many tombstones accumulate *and* they
 #: outnumber the live entries — O(n) reclaim, amortized O(1) per removal.
 _COMPACT_MIN_DEAD = 64
+
+
+class Holdings:
+    """Live store entries, pending matches and buffered events of one
+    engine, and ``oldest``, a lower bound on the timestamps held: inserts
+    and offers lower it, a sweep resets it before each ``expire``/
+    ``prune`` reports its oldest survivor."""
+
+    __slots__ = ("partial_matches", "pending", "events", "oldest")
+
+    def __init__(self) -> None:
+        self.partial_matches = 0
+        self.pending = 0
+        self.events = 0
+        self.oldest = float("inf")
 
 
 def equality_key_pairs(
@@ -524,9 +542,14 @@ class PartialMatchStore:
         "_exp_ts",
         "_exp_pms",
         "metrics",
+        "holdings",
     )
 
-    def __init__(self, metrics: Optional[EngineMetrics] = None) -> None:
+    def __init__(
+        self,
+        metrics: Optional[EngineMetrics] = None,
+        holdings: Optional[Holdings] = None,
+    ) -> None:
         self._pms: List[PartialMatch] = []  # primary run, trigger order
         self._trigs: List[int] = []
         self._ids: set = set()  # id() of live entries
@@ -536,6 +559,7 @@ class PartialMatchStore:
         self._exp_ts: List[float] = []  # min_ts, sorted
         self._exp_pms: List[PartialMatch] = []
         self.metrics = metrics
+        self.holdings = holdings if holdings is not None else Holdings()
 
     # -- setup --------------------------------------------------------------
     def add_index(
@@ -576,34 +600,43 @@ class PartialMatchStore:
         self._ins = ins + 1
         for index in self._indexes:
             index.add(pm, ins)
-        position = bisect_left(self._exp_ts, pm.min_ts)
-        self._exp_ts.insert(position, pm.min_ts)
+        min_ts = pm.min_ts
+        position = bisect_left(self._exp_ts, min_ts)
+        self._exp_ts.insert(position, min_ts)
         self._exp_pms.insert(position, pm)
+        held = self.holdings
+        held.partial_matches += 1
+        if min_ts < held.oldest:
+            held.oldest = min_ts
 
     def expire(self, cutoff: float) -> int:
         """Drop entries with ``min_ts < cutoff``; returns how many died.
 
-        O(1) when the watermark (smallest live ``min_ts``) is inside the
-        window; otherwise one bisect plus O(expired) tombstoning.
+        O(1) when the smallest ``min_ts`` is inside the window;
+        otherwise one bisect plus O(expired) tombstoning.  The oldest
+        surviving ``min_ts`` is reported to the holdings watermark.
         """
         exp_ts = self._exp_ts
-        if not exp_ts or exp_ts[0] >= cutoff:
-            return 0
-        boundary = bisect_left(exp_ts, cutoff)
-        ids = self._ids
         expired = 0
-        for pm in self._exp_pms[:boundary]:
-            key = id(pm)
-            if key in ids:
-                ids.remove(key)
-                expired += 1
-                self._note_dead(pm)
-        del exp_ts[:boundary]
-        del self._exp_pms[:boundary]
-        self._dead += expired
-        if self.metrics is not None:
-            self.metrics.pm_expired += expired
-        self._maybe_compact()
+        if exp_ts and exp_ts[0] < cutoff:
+            boundary = bisect_left(exp_ts, cutoff)
+            ids = self._ids
+            for pm in self._exp_pms[:boundary]:
+                key = id(pm)
+                if key in ids:
+                    ids.remove(key)
+                    expired += 1
+                    self._note_dead(pm)
+            del exp_ts[:boundary]
+            del self._exp_pms[:boundary]
+            self._dead += expired
+            self.holdings.partial_matches -= expired
+            if self.metrics is not None:
+                self.metrics.pm_expired += expired
+            self._maybe_compact()
+            exp_ts = self._exp_ts
+        if exp_ts and exp_ts[0] < self.holdings.oldest:
+            self.holdings.oldest = exp_ts[0]
         return expired
 
     def discard(self, pm: PartialMatch) -> None:
@@ -612,6 +645,7 @@ class PartialMatchStore:
         if key in self._ids:
             self._ids.remove(key)
             self._dead += 1
+            self.holdings.partial_matches -= 1
             self._note_dead(pm)
             self._maybe_compact()
 
@@ -622,6 +656,7 @@ class PartialMatchStore:
             self._ids.remove(id(pm))
             self._note_dead(pm)
         self._dead += len(dead)
+        self.holdings.partial_matches -= len(dead)
         self._maybe_compact()
         return len(dead)
 

@@ -20,7 +20,8 @@ model: a leaf contributes ``PM(l) = W·r_i`` (Section 4.2), so leaf
 instances are counted as partial matches rather than as buffered events.
 
 Every node's store is a :class:`~repro.engines.stores.PartialMatchStore`
-with watermark-gated window expiry.  How a child's new instance finds
+on the engine's one list of stores, expired by the base engine's
+watermark-gated sweep.  How a child's new instance finds
 its partners in the sibling's store — hash bucket, theta bisect or scan,
 and which predicates remain to check — is the child's
 :class:`~repro.engines.access.AccessPath`, built by
@@ -58,6 +59,7 @@ class _RuntimeNode:
         "variable",
         "absorb_kernel",
         "tstat",
+        "overlap",
     )
 
     def __init__(self, plan_node: TreeNode) -> None:
@@ -68,6 +70,9 @@ class _RuntimeNode:
         # How this node's new instances find their earlier partners in
         # the sibling's store (None at the root).
         self.path: Optional[AccessPath] = None
+        # Join nodes: an event type on both sides, so pairings must
+        # check that the two instances share no event.
+        self.overlap = False
         self.negation_specs: list[PreparedSpec] = []
         self.is_leaf = plan_node.is_leaf
         self.variable = plan_node.variable
@@ -117,8 +122,9 @@ class TreeEngine(BaseEngine):
     ) -> _RuntimeNode:
         runtime = _RuntimeNode(plan_node)
         runtime.parent = parent
-        runtime.store = PartialMatchStore(self.metrics)
+        runtime.store = PartialMatchStore(self.metrics, self._held)
         self._nodes.append(runtime)
+        self._stores.append(runtime.store)
         if plan_node.is_leaf:
             self._leaf_for[plan_node.variable] = runtime
         else:
@@ -126,6 +132,9 @@ class TreeEngine(BaseEngine):
             right = self._build(plan_node.right, runtime)
             left_set = left.variables
             right_set = right.variables
+            runtime.overlap = not {
+                self._types[v] for v in left_set
+            }.isdisjoint(self._types[v] for v in right_set)
             cross_predicates = [
                 p
                 for p in self._conditions
@@ -153,7 +162,6 @@ class TreeEngine(BaseEngine):
         """Fuse per-node predicate lists into compiled kernels: admission
         filters per variable, each child's join access path, and leaf
         Kleene absorption checks."""
-        super()._recompile_kernels()
         tracker = self._sel_tracker
         common = dict(
             tracker=tracker,
@@ -215,6 +223,7 @@ class TreeEngine(BaseEngine):
         if tracer is None:
             for node in self._nodes:
                 node.tstat = None
+            self._expiry_stats = None
             return
         for node in self._nodes:
             if node.is_leaf:
@@ -223,16 +232,10 @@ class TreeEngine(BaseEngine):
                 label = "join(" + ",".join(sorted(node.variables)) + ")"
                 kind = "join"
             node.tstat = tracer.register_node(label, kind, engine="tree")
+        self._expiry_stats = [node.tstat for node in self._nodes]
 
     # -- event loop ------------------------------------------------------------
-    def process(self, event: Event) -> list[Match]:
-        matches = self._advance_time(event)
-        self._expire_instances()
-        self._offer_negations(event)
-        admitted = self._admissible_variables(event)
-        if not admitted:
-            self._note_state()
-            return matches
+    def _arrive(self, event: Event, admitted: list[str]) -> list[Match]:
         if self._tracer is not None:
             for variable in admitted:
                 self._leaf_for[variable].tstat.events += 1
@@ -250,12 +253,9 @@ class TreeEngine(BaseEngine):
                     queue.extend(self._absorptions(node, variable, event))
             else:
                 queue.append((PartialMatch.singleton(variable, event), node))
+        return self._cascade(queue)
 
-        matches.extend(self._cascade(queue))
-        self._note_state()
-        return matches
-
-    def _admissible_variables(self, event: Event) -> list[str]:
+    def _admit(self, event: Event) -> list[str]:
         """Type + unary-filter admission (leaf stores are the buffers)."""
         admitted: list[str] = []
         compiled = self.compiled
@@ -341,8 +341,9 @@ class TreeEngine(BaseEngine):
             candidates = list(candidates)
             stat.probed += len(candidates)
         created: list[tuple[PartialMatch, _RuntimeNode]] = []
+        overlap = parent.overlap
         for other in candidates:
-            merged = self._try_merge(pm, other, predicates, kernel)
+            merged = self._try_merge(pm, other, predicates, kernel, overlap)
             if merged is not None:
                 created.append((merged, parent))
                 if self._consuming:
@@ -355,8 +356,9 @@ class TreeEngine(BaseEngine):
         other: PartialMatch,
         predicates: list,
         kernel,
+        overlap: bool,
     ) -> Optional[PartialMatch]:
-        if pm.event_seqs() & other.event_seqs():
+        if overlap and pm.event_seqs() & other.event_seqs():
             return None
         if (
             max(pm.max_ts, other.max_ts) - min(pm.min_ts, other.min_ts)
@@ -389,35 +391,6 @@ class TreeEngine(BaseEngine):
             self._negation.violated(prepared, pm)
             for prepared in node.negation_specs
         )
-
-    # -- housekeeping ---------------------------------------------------------------
-    def _expire_instances(self) -> None:
-        """Watermark-gated: O(1) per node until something can expire."""
-        cutoff = self._now - self.window
-        if self._tracer is None:
-            for node in self._nodes:
-                node.store.expire(cutoff)
-        else:
-            for node in self._nodes:
-                node.tstat.expired += node.store.expire(cutoff)
-
-    def _purge_consumed(self, seqs: frozenset) -> None:
-        for node in self._nodes:
-            node.store.purge_seqs(seqs)
-
-    def _note_state(self) -> None:
-        live = sum(len(node.store) for node in self._nodes) + len(self._pending)
-        self.metrics.note_state(live, self._negation.buffered_events())
-
-    # -- introspection ----------------------------------------------------------------
-    def live_partial_matches(self) -> int:
-        return sum(len(node.store) for node in self._nodes)
-
-    def iter_partial_matches(self):
-        """Live instances at every plan node (leaves included — leaf
-        stores are the cost-model buffers, see the module docstring)."""
-        for node in self._nodes:
-            yield from node.store
 
     def __repr__(self) -> str:
         return f"TreeEngine(plan={self.plan!r}, selection={self.selection!r})"

@@ -30,8 +30,11 @@ with cross-query shared state.
 
 Shared nodes store their instances in the same
 :class:`~repro.engines.stores.PartialMatchStore` as the single-query
-engines, with watermark-gated per-node window expiry, and every DAG
-edge probes its sibling's store through the same
+engines, and the per-node expiry sweep is skipped while the shortest
+window's cutoff has not passed the watermark of the
+:class:`~repro.engines.stores.Holdings` tally they share with every
+query's negation buffers.  Every DAG edge probes its sibling's store
+through the same
 :class:`~repro.engines.access.AccessPath` as a tree node — built by
 :func:`~repro.engines.access.join_paths` with the edge renamings.
 """
@@ -40,14 +43,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..engines.access import AccessPath, join_paths
-from ..engines.base import INTERPRET, _PendingMatch, traced
+from ..engines.base import INTERPRET, traced
 from ..engines.matches import Match, PartialMatch
 from ..engines.metrics import EngineMetrics
-from ..engines.negation import NegationChecker, PreparedSpec
-from ..engines.stores import PartialMatchStore
+from ..engines.negation import NegationChecker
+from ..engines.stores import Holdings, PartialMatchStore
 from ..patterns.compile import compile_event_kernel
 from ..events import Event, Stream
 from .sharing import QueryRoot, SharedJoin, SharedLeaf, SharedPlan
@@ -71,7 +75,8 @@ def group_by_query(
 
 
 class _QueryState:
-    """Per-query runtime: renaming, negation checking, pending matches."""
+    """Per-query runtime: renaming, negation checking, pending matches
+    (the checker's)."""
 
     __slots__ = (
         "query",
@@ -79,11 +84,10 @@ class _QueryState:
         "identity",
         "window",
         "checker",
-        "pending",
         "matches_emitted",
     )
 
-    def __init__(self, root: QueryRoot) -> None:
+    def __init__(self, root: QueryRoot, held: Holdings) -> None:
         self.query = root.query
         self.rename = dict(root.rename)
         self.identity = all(k == v for k, v in self.rename.items())
@@ -92,40 +96,9 @@ class _QueryState:
             root.decomposed.negations,
             root.decomposed.negation_conditions,
             root.decomposed.window,
+            holdings=held,
         )
-        self.pending: List[_PendingMatch] = []
         self.matches_emitted = 0
-
-    # -- per-event plumbing (mirrors BaseEngine) ---------------------------
-    def advance(self, now: float, engine: "MultiQueryEngine") -> List[Match]:
-        """Prune negation buffers; release pendings whose range closed."""
-        self.checker.prune(now - self.window)
-        if not self.pending:
-            return []
-        released: List[Match] = []
-        still: List[_PendingMatch] = []
-        for entry in self.pending:
-            if entry.deadline < now:
-                released.append(engine._emit(self, entry.pm, entry.deadline))
-            else:
-                still.append(entry)
-        self.pending = still
-        return released
-
-    def offer(self, event: Event) -> None:
-        """Buffer a forbidden-event candidate; kill violated pendings."""
-        if not self.checker.active:
-            return
-        if not self.checker.offer(event):
-            return
-        self.pending = [
-            entry
-            for entry in self.pending
-            if not any(
-                self.checker.violated(spec, entry.pm, candidate=event)
-                for spec in entry.specs
-            )
-        ]
 
     def complete(
         self, pm: PartialMatch, now: float, engine: "MultiQueryEngine"
@@ -141,38 +114,20 @@ class _QueryState:
                 pm.max_ts,
             )
         checker = self.checker
-        if checker.active:
-            bound = frozenset(qpm.bindings)
-            for prepared in checker.specs_checkable_with(bound):
-                if checker.violated(prepared, qpm):
-                    return None
-            for prepared in checker.leading_specs():
-                if checker.violated(prepared, qpm):
-                    return None
-            trailing = checker.trailing_specs()
-            if trailing:
-                open_specs: List[PreparedSpec] = []
-                deadline = float("-inf")
-                for prepared in trailing:
-                    if checker.violated(prepared, qpm):
-                        return None
-                    spec_deadline = checker.deadline(prepared, qpm)
-                    if spec_deadline >= now:
-                        open_specs.append(prepared)
-                        deadline = max(deadline, spec_deadline)
-                if open_specs:
-                    self.pending.append(_PendingMatch(qpm, deadline, open_specs))
-                    return None
+        if checker.active and not checker.completion(
+            qpm,
+            now,
+            checker.specs_checkable_with(frozenset(qpm.bindings))
+            + checker.leading_specs(),
+        ):
+            return None
         return engine._emit(self, qpm, now)
 
     def finalize(self, engine: "MultiQueryEngine") -> List[Match]:
         """End of stream: trailing ranges can no longer be violated."""
-        released = [
-            engine._emit(self, entry.pm, entry.deadline)
-            for entry in self.pending
-        ]
-        self.pending = []
-        return released
+        pending = self.checker.pending
+        self.checker.keep_pending([])
+        return [engine._emit(self, e.pm, e.deadline) for e in pending]
 
 
 class _Edge:
@@ -192,19 +147,22 @@ class _RuntimeNode:
     """Mutable store attached to one shared plan node."""
 
     __slots__ = (
-        "spec", "store", "parents", "states", "kleene", "admit_kernel",
-        "tstat",
+        "spec", "store", "parents", "states", "kleene", "overlap",
+        "admit_kernel", "tstat",
     )
 
-    def __init__(self, spec, metrics: EngineMetrics) -> None:
+    def __init__(self, spec, metrics: EngineMetrics, held: Holdings) -> None:
         self.spec = spec
-        self.store = PartialMatchStore(metrics)
+        self.store = PartialMatchStore(metrics, held)
         self.parents: List[_Edge] = []
         self.states: List[_QueryState] = []
         # Variables (in this node's representative namespace) bound to
         # Kleene tuples — equality keys over them require the common
         # per-element value (see repro.engines.stores.kleene_key_value).
         self.kleene: frozenset = frozenset()
+        # Joins with an event type on both sides: only their pairings
+        # can bind one event twice, so only they check disjointness.
+        self.overlap = False
         # Compiled leaf admission kernel (None = no filters).
         self.admit_kernel = None
         # Per-node trace counters (repro.observe); None = no tracer.
@@ -241,15 +199,22 @@ class MultiQueryEngine:
         # Plan-DAG tracing (repro.observe): None keeps the hot path
         # observation-free — no counter bumps, no clock reads.
         self._tracer = None
+        self._held = Holdings()
 
         runtime: Dict[int, _RuntimeNode] = {}
+        types: Dict[int, frozenset] = {}  # event types a node binds
         for node in plan.nodes:  # topological: children precede parents
-            rt = _RuntimeNode(node, self.metrics)
+            rt = _RuntimeNode(node, self.metrics, self._held)
             runtime[node.index] = rt
             if isinstance(node, SharedLeaf):
+                types[node.index] = frozenset((node.event_type,))
                 if node.kleene:
                     rt.kleene = frozenset((node.variable,))
             elif isinstance(node, SharedJoin):
+                left_types = types[node.left.index]
+                right_types = types[node.right.index]
+                types[node.index] = left_types | right_types
+                rt.overlap = not left_types.isdisjoint(right_types)
                 rt.kleene = frozenset(
                     node.left_map[v]
                     for v in runtime[node.left.index].kleene
@@ -292,9 +257,13 @@ class MultiQueryEngine:
         ]
         self._states: List[_QueryState] = []
         for root in plan.roots:
-            state = _QueryState(root)
+            state = _QueryState(root, self._held)
             runtime[root.node.index].states.append(state)
             self._states.append(state)
+        # The watermark gate uses the shortest window (a query's window
+        # is its root node's): its cutoff is the latest, so while it has
+        # not passed the watermark nothing with any window can expire.
+        self._shortest_window = min(node.spec.window for node in self._nodes)
         if compiled:
             self._compile_kernels()
 
@@ -348,24 +317,32 @@ class MultiQueryEngine:
         """Feed one event; return the matches it completed, all queries."""
         self.metrics.events_processed += 1
         self._event_wall_started = time.perf_counter()
-        self._now = event.timestamp
+        self._now = now = event.timestamp
 
         tracing = self._tracer is not None
         matches: List[Match] = []
-        if not tracing:
-            for node in self._nodes:
-                # Watermark-gated: an O(1) no-op until an instance at this
-                # node can actually expire (no per-node list per event).
-                node.store.expire(event.timestamp - node.spec.window)
-        else:
-            for node in self._nodes:
-                node.tstat.expired += node.store.expire(
-                    event.timestamp - node.spec.window
-                )
+        held = self._held
+        if now - self._shortest_window > held.oldest:
+            held.oldest = float("inf")  # each expire / prune re-reports
+            if not tracing:
+                for node in self._nodes:
+                    node.store.expire(now - node.spec.window)
+            else:
+                for node in self._nodes:
+                    node.tstat.expired += node.store.expire(
+                        now - node.spec.window
+                    )
+            for state in self._states:
+                state.checker.prune(now - state.window)
+        if held.pending:
+            for state in self._states:
+                if state.checker.pending:
+                    matches.extend(
+                        state.checker.release(now, partial(self._emit, state))
+                    )
         for state in self._states:
-            matches.extend(state.advance(self._now, self))
-        for state in self._states:
-            state.offer(event)
+            if state.checker.active:
+                state.checker.offer_against(event)
 
         queue: List[Tuple[PartialMatch, _RuntimeNode]] = []
         for leaf in self._leaves:
@@ -394,7 +371,9 @@ class MultiQueryEngine:
                 )
 
         matches.extend(self._cascade(queue))
-        self._note_state()
+        self.metrics.note_state(
+            held.partial_matches + held.pending, held.events
+        )
         return matches
 
     def run(self, stream: Stream) -> Dict[str, List[Match]]:
@@ -483,7 +462,7 @@ class MultiQueryEngine:
         predicates,
         kernel,
     ) -> Optional[PartialMatch]:
-        if pm.event_seqs() & other.event_seqs():
+        if parent.overlap and pm.event_seqs() & other.event_seqs():
             return None
         min_ts = min(pm.min_ts, other.min_ts)
         max_ts = max(pm.max_ts, other.max_ts)
@@ -545,17 +524,8 @@ class MultiQueryEngine:
         self.metrics.note_match(match.latency, wall)
         return match
 
-    def _note_state(self) -> None:
-        live = sum(len(node.store) for node in self._nodes) + sum(
-            len(state.pending) for state in self._states
-        )
-        buffered = sum(
-            state.checker.buffered_events() for state in self._states
-        )
-        self.metrics.note_state(live, buffered)
-
     def live_partial_matches(self) -> int:
-        return sum(len(node.store) for node in self._nodes)
+        return self._held.partial_matches
 
     # -- retraction deltas (repro.streams.disorder) --------------------------
     @property
@@ -590,13 +560,12 @@ class MultiQueryEngine:
         for node in self._nodes:
             node.store.purge_seqs(seqs)
         for state in self._states:
-            state.checker.retract(seq)
-            if state.pending:
-                state.pending = [
-                    entry
-                    for entry in state.pending
-                    if not entry.pm.contains_seq(seq)
-                ]
+            checker = state.checker
+            checker.retract(seq)
+            if checker.pending:
+                checker.keep_pending(
+                    [e for e in checker.pending if not e.pm.contains_seq(seq)]
+                )
         self.metrics.retractions_processed += 1
 
     def per_query_matches(self) -> Dict[str, int]:
