@@ -1,10 +1,12 @@
 """Figures 14/15: throughput and memory vs *disjunction* pattern size.
 
-Composite patterns: an OR of three sequences, each planned and executed
-independently (Section 5.4); reported size is the size of each disjunct.
-Costs add across sub-engines, so the per-disjunct plan quality compounds
-— the JQPG-adapted methods keep their edge, and the memory of the
-TRIVIAL baseline grows fastest with size.
+Composite patterns: an OR of three sequences (Section 5.4); reported
+size is the size of each disjunct.  Each disjunct is planned
+independently, and the plans run as one plan DAG with a root per
+disjunct, sharing equivalent sub-joins.  Costs add across disjuncts, so
+the per-disjunct plan quality compounds — the JQPG-adapted methods keep
+their edge, and the memory of the TRIVIAL baseline grows fastest with
+size.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.bench import format_table
 from repro.cost import ThroughputCostModel
-from repro.engines import NFAEngine, TreeEngine
+from repro.engines import NFAEngine, build_runtime
 from repro.patterns import decompose
 from repro.plans import enumerate_bushy_trees, enumerate_orders
 from repro.stats import PatternStatistics
@@ -58,7 +58,7 @@ def _collect(env, kind):
             if kind == "order":
                 engine = NFAEngine(d, plan)
             else:
-                engine = TreeEngine(d, plan)
+                engine = build_runtime(d, plan)
             import time
 
             started = time.perf_counter()

@@ -32,9 +32,10 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 QUERY_COUNTS = (2, 3) if SMOKE else (2, 4, 8)
 STREAM_EVENTS = 400 if SMOKE else 2000
 # A tree algorithm keeps the work comparison like-for-like: independent
-# execution then uses per-query TreeEngines, whose partial-match
-# accounting matches the shared DAG's (order algorithms would run NFA
-# engines, which count buffered events instead of leaf instances).
+# execution then runs each query on its own one-root plan DAG, whose
+# partial-match accounting matches the shared DAG's (order algorithms
+# would run NFA engines, which count buffered events instead of leaf
+# instances).
 ALGORITHM = "DP-B"
 
 

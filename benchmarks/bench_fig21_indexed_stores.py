@@ -38,7 +38,7 @@ import os
 import random
 import time
 
-from repro.engines import NFAEngine, TreeEngine
+from repro.engines import NFAEngine, build_runtime
 from repro.events import Event, Stream
 from repro.patterns import decompose, parse_pattern
 from repro.plans import OrderPlan, TreePlan
@@ -94,7 +94,7 @@ def _engine(text: str, runtime: str, indexed: bool):
     d = decompose(parse_pattern(text))
     order = OrderPlan(d.positive_variables)
     if runtime == "tree":
-        return TreeEngine(
+        return build_runtime(
             d, TreePlan.left_deep(order), indexed=indexed, compiled=False
         )
     return NFAEngine(d, order, indexed=indexed, compiled=False)

@@ -40,7 +40,7 @@ import time
 
 import pytest
 
-from repro.engines import NFAEngine, TreeEngine
+from repro.engines import NFAEngine, build_runtime
 from repro.events import Event, Stream
 from repro.patterns import decompose, parse_pattern
 from repro.plans import OrderPlan, TreePlan
@@ -114,7 +114,7 @@ def _engine(
     d = decompose(parse_pattern(text))
     order = OrderPlan(d.positive_variables)
     if runtime == "tree":
-        return TreeEngine(
+        return build_runtime(
             d, TreePlan.left_deep(order), indexed=indexed,
             compiled=compiled, codegen=codegen,
         )

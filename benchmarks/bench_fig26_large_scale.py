@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.engines import NFAEngine, TreeEngine
+from repro.engines import NFAEngine, build_runtime
 from repro.events import Event, Stream
 from repro.patterns import decompose, parse_pattern
 from repro.plans import OrderPlan, TreePlan
@@ -77,7 +77,7 @@ def _engine(text: str, runtime: str, accelerated: bool):
         indexed=accelerated, compiled=accelerated, codegen=accelerated
     )
     if runtime == "tree":
-        return TreeEngine(d, TreePlan.left_deep(order), **flags)
+        return build_runtime(d, TreePlan.left_deep(order), **flags)
     return NFAEngine(d, order, **flags)
 
 

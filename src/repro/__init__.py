@@ -2,8 +2,9 @@
 
 A from-scratch reproduction of Kolchinsky & Schuster, VLDB 2018
 (arXiv:1801.09413): the CPG <-> JQPG equivalence, join-optimizer-based
-CEP plan generation, and the full evaluation stack (lazy NFA and
-tree-based engines, cost models, workloads, benchmarks).
+CEP plan generation, and the full evaluation stack (the lazy NFA and the
+plan-DAG runtime for tree plans, disjunctions and workloads, cost
+models, workloads, benchmarks).
 
 Quickstart::
 
@@ -126,15 +127,14 @@ from .cost import (
     ThroughputCostModel,
 )
 from .engines import (
-    DisjunctionEngine,
     EngineSnapshot,
     Match,
     NFAEngine,
     OutputProfiler,
-    TreeEngine,
     build_engine,
     build_engine_from_parts,
     build_engines,
+    build_runtime,
 )
 from .errors import (
     EngineError,
@@ -150,6 +150,7 @@ from .errors import (
 )
 from .events import ChunkedStream, Event, EventType, Stream
 from .multiquery import (
+    DagEngine,
     MultiQueryEngine,
     SharedPlan,
     SharedPlanOptimizer,
@@ -213,14 +214,13 @@ __all__ = [
     "LatencyCostModel",
     "NextMatchCostModel",
     "ThroughputCostModel",
-    "DisjunctionEngine",
     "Match",
     "NFAEngine",
     "OutputProfiler",
-    "TreeEngine",
     "build_engine",
     "build_engine_from_parts",
     "build_engines",
+    "build_runtime",
     "EngineError",
     "OptimizerError",
     "ParallelError",
@@ -253,6 +253,7 @@ __all__ = [
     "Session",
     "ShardServer",
     "serve_in_thread",
+    "DagEngine",
     "MultiQueryEngine",
     "SharedPlan",
     "SharedPlanOptimizer",

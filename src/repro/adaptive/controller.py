@@ -54,7 +54,6 @@ from typing import Optional
 from ..engines.factory import build_engines
 from ..engines.matches import Match
 from ..engines.metrics import EngineMetrics
-from ..engines.snapshot import snapshot_pm_count
 from ..errors import EngineError
 from ..events import Event, Stream
 from ..optimizers.planner import (
@@ -218,18 +217,10 @@ class AdaptiveController:
         During a parallel-drain the outgoing engine is included too, so
         the one-window double processing shows up honestly.
         """
-        merged = self._retired.merge(
-            self.engine.metrics, disjoint_streams=True, concurrent=False
-        )
+        merged = self._retired.merge(self.engine.metrics, concurrent=False)
         if self._old_engine is not None:
-            merged = merged.merge(
-                self._old_engine.metrics,
-                disjoint_streams=True,
-                concurrent=False,
-            )
-        return merged.merge(
-            self._migration_metrics, disjoint_streams=True, concurrent=False
-        )
+            merged = merged.merge(self._old_engine.metrics, concurrent=False)
+        return merged.merge(self._migration_metrics, concurrent=False)
 
     # -- event loop -----------------------------------------------------------
     def process(self, event: Event) -> list[Match]:
@@ -414,12 +405,12 @@ class AdaptiveController:
             self._retire(old_engine)
         elif self.migration == "recompute":
             snapshot = old_engine.export_state()
-            pm_migrated = snapshot_pm_count(snapshot)
+            pm_migrated = snapshot.migrated_count
             self.engine = self._build(planned, seed=snapshot)
             self._retire(old_engine)
         else:  # parallel-drain
             snapshot = old_engine.export_state()
-            pm_migrated = snapshot_pm_count(snapshot)
+            pm_migrated = snapshot.migrated_count
             self.engine = self._build(planned)
             self.engine.seed_negation_state(snapshot)
             self._old_engine = old_engine
@@ -468,9 +459,7 @@ class AdaptiveController:
         self._drain_boundary_seq = -1
 
     def _retire(self, engine) -> None:
-        self._retired = self._retired.merge(
-            engine.metrics, disjoint_streams=True, concurrent=False
-        )
+        self._retired = self._retired.merge(engine.metrics, concurrent=False)
 
     def _note_saved(self, matches: list[Match]) -> None:
         if self._saved_boundary is None or not matches:

@@ -1,4 +1,7 @@
-"""Evaluation engines: lazy NFA and instance-based tree runtime."""
+"""Evaluation engines: the lazy NFA plus the machinery both runtimes
+share.  The plan-DAG runtime that runs tree plans, disjunctions and
+workloads lives in :mod:`repro.multiquery.executor`; the factory here
+builds either."""
 
 from .base import (
     SELECTION_ANY,
@@ -9,10 +12,10 @@ from .base import (
 )
 from .buffers import VariableBuffer
 from .factory import (
-    DisjunctionEngine,
     build_engine,
     build_engine_from_parts,
     build_engines,
+    build_runtime,
 )
 from .matches import Match, PartialMatch
 from .metrics import EngineMetrics, LatencyHistogram
@@ -20,9 +23,8 @@ from .negation import NegationChecker
 from .nfa import NFAEngine
 from .profiler import OutputProfiler
 from .reference import reference_match_keys
-from .snapshot import EngineSnapshot, describe_partial_match, snapshot_pm_count
+from .snapshot import EngineSnapshot, describe_partial_match
 from .stores import PartialMatchStore, kleene_key_value, make_key_fn
-from .tree import TreeEngine
 
 __all__ = [
     "SELECTION_ANY",
@@ -31,17 +33,16 @@ __all__ = [
     "SELECTION_STRICT",
     "BaseEngine",
     "VariableBuffer",
-    "DisjunctionEngine",
     "build_engine",
     "build_engine_from_parts",
     "build_engines",
+    "build_runtime",
     "Match",
     "PartialMatch",
     "EngineMetrics",
     "LatencyHistogram",
     "EngineSnapshot",
     "describe_partial_match",
-    "snapshot_pm_count",
     "NegationChecker",
     "NFAEngine",
     "OutputProfiler",
@@ -49,5 +50,4 @@ __all__ = [
     "kleene_key_value",
     "make_key_fn",
     "reference_match_keys",
-    "TreeEngine",
 ]

@@ -1,16 +1,23 @@
 """Shared engine machinery.
 
 :class:`BaseEngine` implements everything that is identical between the
-order-based (lazy NFA) and tree-based (ZStream-style) runtimes:
+two runtimes — the order-based lazy NFA (:mod:`repro.engines.nfa`) and
+the instance-based plan DAG (:mod:`repro.multiquery.executor`), which
+runs every tree plan, every disjunction and every multi-query workload:
 
+* the roots: one :class:`Root` per pattern (or DNF disjunct) the engine
+  reports matches for, each with its own name, window, negation checker
+  and pending set, and consumed events — the NFA has one root, a
+  disjunction one per disjunct;
 * the per-event floor: one flat store list and the variable and
   negation buffers share one :class:`~repro.engines.stores.Holdings`
-  tally, whose watermark lets an event skip the whole expiry sweep with
-  one comparison and whose maintained counts feed the peak metrics —
-  neither cost grows with the number of stores or buffers;
-* predicate checking with instrumentation;
-* negation handling — incremental bounded checks plus the *pending* set
-  for ranges extending into the future (Section 5.3);
+  tally, whose watermark (against the shortest root window) lets an
+  event skip the whole expiry sweep with one comparison and whose
+  maintained counts feed the peak metrics — neither cost grows with
+  the number of stores or buffers; each store expires against its own
+  window;
+* negation handling — the *pending* set for ranges extending into the
+  future (Section 5.3) and the completion-time checks;
 * event selection strategies (Section 6.2): ``any`` (skip-till-any-match,
   the default), ``next`` (skip-till-next-match, with event consumption),
   ``strict`` / ``partition`` (contiguity — consumption semantics of
@@ -25,7 +32,7 @@ order-based (lazy NFA) and tree-based (ZStream-style) runtimes:
   (:meth:`BaseEngine.set_selectivity_tracker`), explicit predicate
   outcomes are reported to :mod:`repro.stats.online` estimators.
 
-Both engines form every event combination exactly once through the
+Both runtimes form every event combination exactly once through the
 *trigger* discipline documented in :mod:`repro.engines.matches`.
 """
 
@@ -34,7 +41,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from functools import partial
-from typing import Deque, Iterator, Optional
+from typing import Deque, Iterator, Optional, Sequence, Tuple
 
 from ..errors import EngineError
 from ..events import Event, Stream
@@ -43,7 +50,7 @@ from ..patterns.transformations import DecomposedPattern
 from .buffers import VariableBuffer
 from .matches import Match, PartialMatch
 from .metrics import EngineMetrics
-from .negation import NegationChecker
+from .negation import NegationChecker, PreparedSpec
 from .snapshot import EngineSnapshot, describe_partial_match, replay
 from .stores import Holdings, PartialMatchStore
 
@@ -68,8 +75,8 @@ INTERPRET = object()
 def traced(engine, stat, work, *args):
     """Run ``work(*args, stat=stat)`` and charge its wall time and index
     counter deltas to ``stat`` — the one instrumentation seam of every
-    runtime's join step (tree pairings, NFA arrivals and buffer scans,
-    DAG edge pairings).  Only a traced engine calls this, and the clock
+    runtime's join step (NFA arrivals and buffer scans, DAG edge
+    pairings).  Only a traced engine calls this, and the clock
     is its tracer's, so an untraced engine never reads one."""
     clock, metrics = engine._tracer.clock, engine.metrics
     ip0, ih0 = metrics.index_probes, metrics.index_hits
@@ -84,15 +91,60 @@ def traced(engine, stat, work, *args):
     return created
 
 
-class BaseEngine:
-    """Common state and behaviour of both evaluation engines."""
+class Root:
+    """One pattern (or DNF disjunct) an engine reports matches for.
+
+    ``name`` goes into :attr:`Match.pattern_name`; ``checker`` owns the
+    root's negation candidate buffers and pending set; ``checks`` are
+    the bounded negation specs left to the complete match (leading
+    NOTs, plus any spec the runtime could not place earlier);
+    ``rename`` maps the runtime's binding names to the pattern's (None:
+    identity); ``consumed`` holds the events the root's reported matches
+    used under the restrictive strategies, and ``stores`` the stores
+    its consumption purges; ``matches`` counts what it reported.
+    """
+
+    __slots__ = (
+        "name", "decomposed", "window", "checker", "checks", "rename",
+        "consumed", "stores", "matches",
+    )
 
     def __init__(
         self,
+        name: Optional[str],
         decomposed: DecomposedPattern,
+        holdings: Holdings,
+    ) -> None:
+        self.name = name or (
+            decomposed.source.name if decomposed.source else None
+        )
+        self.decomposed = decomposed
+        self.window = decomposed.window
+        self.checker = NegationChecker(
+            decomposed.negations,
+            decomposed.negation_conditions,
+            self.window,
+            holdings=holdings,
+        )
+        self.checks: list[PreparedSpec] = self.checker.leading_specs()
+        self.rename: Optional[dict] = None
+        self.consumed: set[int] = set()
+        self.stores: list[PartialMatchStore] = []
+        self.matches = 0
+
+
+class BaseEngine:
+    """Common state and behaviour of both evaluation runtimes.
+
+    ``patterns`` lists ``(name, decomposed)`` per root, in reporting
+    order.
+    """
+
+    def __init__(
+        self,
+        patterns: Sequence[Tuple[Optional[str], DecomposedPattern]],
         selection: str = SELECTION_ANY,
         max_kleene_size: Optional[int] = None,
-        pattern_name: Optional[str] = None,
         indexed: bool = True,
         compiled: bool = True,
         codegen: bool = True,
@@ -102,9 +154,8 @@ class BaseEngine:
                 f"unknown selection strategy {selection!r}; "
                 f"choose one of {_SELECTIONS}"
             )
-        self.decomposed = decomposed
-        self.window = decomposed.window
         self.selection = selection
+        self._consuming = selection != SELECTION_ANY
         self.max_kleene_size = max_kleene_size
         # When True (default), stores hash-partition on equality
         # cross-predicates and keep sorted theta runs (see
@@ -120,40 +171,49 @@ class BaseEngine:
         # exec-generated straight-line source instead of closure trees;
         # False keeps the closure kernels byte-identically.
         self.codegen = codegen
-        self.pattern_name = pattern_name or (
-            decomposed.source.name if decomposed.source else None
-        )
         self.metrics = EngineMetrics()
 
-        self._conditions = decomposed.conditions
-        self._kleene = decomposed.kleene
-        self._types = dict(decomposed.positives)
-        # Predicates indexed by variable for incremental checking.
-        self._preds_by_var: dict[str, list[Predicate]] = {
-            v: list(self._conditions.involving(v)) for v, _ in
-            decomposed.positives
-        }
         # The runtimes register their stores (the NFA its buffers) here.
         self._held = Holdings()
+        self._roots = [
+            Root(name, decomposed, self._held)
+            for name, decomposed in patterns
+        ]
+        # Multi-root engines report one event's matches grouped by root,
+        # in root order (stable: each root keeps its own order).
+        ranks: dict = {}
+        for index, root in enumerate(self._roots):
+            ranks.setdefault(root.name, index)
+        self._rank = (
+            (lambda match: ranks[match.pattern_name]) if len(ranks) > 1
+            else None
+        )
+        self._negating = [
+            root.checker for root in self._roots if root.checker.active
+        ]
+        # The longest window bounds the window log; the shortest gates
+        # the expiry sweep (its cutoff is the latest, so while it has
+        # not passed the watermark nothing with any window can expire).
+        self.window = max(root.window for root in self._roots)
+        self._shortest_window = min(root.window for root in self._roots)
         self._stores: list[PartialMatchStore] = []
         self._buffers: dict[str, VariableBuffer] = {}
         # NodeStat per entry of _stores while traced (expiry attribution).
         self._expiry_stats: Optional[list] = None
-        self._negation = NegationChecker(
-            decomposed.negations,
-            decomposed.negation_conditions,
-            self.window,
-            holdings=self._held,
-        )
-        self._consumed: set[int] = set()
         self._now = float("-inf")
         self._event_wall_started = 0.0
         # Live plan migration (see repro.engines.snapshot): the window
         # buffer — every pattern-relevant event still inside the window —
         # is the replayable, plan-independent core of the engine's state.
         self._relevant_types = frozenset(
-            type_name for _, type_name in decomposed.positives
-        ) | frozenset(spec.event_type for spec in decomposed.negations)
+            type_name
+            for root in self._roots
+            for _, type_name in root.decomposed.positives
+        ) | frozenset(
+            spec.event_type
+            for root in self._roots
+            for spec in root.decomposed.negations
+        )
         self._window_events: Deque[Event] = deque()
         # Online selectivity feedback (repro.stats.online): when a
         # tracker is attached, predicate outcomes are reported per
@@ -163,12 +223,15 @@ class BaseEngine:
         # conditions map to nothing and are never observed.
         self._sel_tracker = None
         self._sel_key_by_pred: dict[int, frozenset] = {}
-        for predicate in self._conditions:
-            if isinstance(predicate, (TimestampOrder, Adjacent)):
-                continue
-            variables = predicate.variables
-            if 1 <= len(variables) <= 2:
-                self._sel_key_by_pred[id(predicate)] = frozenset(variables)
+        for root in self._roots:
+            for predicate in root.decomposed.conditions:
+                if isinstance(predicate, (TimestampOrder, Adjacent)):
+                    continue
+                variables = predicate.variables
+                if 1 <= len(variables) <= 2:
+                    self._sel_key_by_pred[id(predicate)] = frozenset(
+                        variables
+                    )
         # Plan-DAG tracing (repro.observe): None keeps the hot path
         # observation-free — engines never read a clock or touch a
         # NodeStat without a tracer attached.
@@ -181,8 +244,8 @@ class BaseEngine:
     def process(self, event: Event) -> list[Match]:
         """Feed one event; return the matches it completed."""
         matches = self._advance_time(event)
-        if self._negation.active:
-            self._negation.offer_against(event)
+        for checker in self._negating:
+            checker.offer_against(event)
         admitted = self._admit(event)
         if admitted:
             matches.extend(self._arrive(event, admitted))
@@ -190,13 +253,15 @@ class BaseEngine:
         self.metrics.note_state(
             held.partial_matches + held.pending, held.events
         )
+        if self._rank is not None and len(matches) > 1:
+            matches.sort(key=self._rank)
         return matches
 
-    def _admit(self, event: Event) -> list[str]:
-        """Engine-specific: the variables ``event`` is admitted for."""
+    def _admit(self, event: Event) -> list:
+        """Engine-specific: where ``event`` is admitted (falsy: nowhere)."""
         raise NotImplementedError
 
-    def _arrive(self, event: Event, admitted: list[str]) -> list[Match]:
+    def _arrive(self, event: Event, admitted: list) -> list[Match]:
         """Engine-specific: join the admitted event; return matches."""
         raise NotImplementedError
 
@@ -220,10 +285,16 @@ class BaseEngine:
 
     def finalize(self) -> list[Match]:
         """End-of-stream: release pending matches (no more events can
-        violate their trailing negation ranges)."""
-        pending = self._negation.pending
-        self._negation.keep_pending([])
-        return [self._make_match(entry.pm, entry.deadline) for entry in pending]
+        violate their trailing negation ranges), root by root."""
+        matches: list[Match] = []
+        for root in self._roots:
+            pending = root.checker.pending
+            root.checker.keep_pending([])
+            matches.extend(
+                self._make_match(root, entry.pm, entry.deadline)
+                for entry in pending
+            )
+        return matches
 
     # -- live plan migration ------------------------------------------------
     def iter_partial_matches(self) -> Iterator[PartialMatch]:
@@ -246,14 +317,15 @@ class BaseEngine:
             events=tuple(self._window_events),
             now=self._now,
             window=self.window,
-            consumed=frozenset(self._consumed),
+            consumed=[root.consumed for root in self._roots],
             partial_matches=tuple(
                 describe_partial_match(pm)
                 for pm in self.iter_partial_matches()
             ),
             pending=tuple(
                 (describe_partial_match(entry.pm), entry.deadline)
-                for entry in self._negation.pending
+                for root in self._roots
+                for entry in root.checker.pending
             ),
         )
 
@@ -273,7 +345,13 @@ class BaseEngine:
                 f"snapshot window {snapshot.window:g} does not match "
                 f"engine window {self.window:g}"
             )
-        self._consumed = set(snapshot.consumed)
+        if snapshot.consumed and len(snapshot.consumed) != len(self._roots):
+            raise EngineError(
+                f"snapshot carries {len(snapshot.consumed)} consumed sets "
+                f"for {len(self._roots)} roots"
+            )
+        for root, consumed in zip(self._roots, snapshot.consumed):
+            root.consumed.update(consumed)
         replay(self, snapshot.events, suppress=True)
 
     def seed_negation_state(self, snapshot: EngineSnapshot) -> None:
@@ -289,10 +367,9 @@ class BaseEngine:
         closes that hole without any replay.
         """
         self._require_fresh("seed_negation_state")
-        if not self._negation.active:
-            return
-        for event in snapshot.events:
-            self._negation.offer(event)
+        for checker in self._negating:
+            for event in snapshot.events:
+                checker.offer(event)
 
     # -- retraction deltas (repro.streams.disorder) --------------------------
     def negation_event_types(self) -> frozenset:
@@ -303,21 +380,22 @@ class BaseEngine:
         below cannot re-derive — the disorder layer re-derives instead.
         """
         return frozenset(
-            spec.event_type for spec in self.decomposed.negations
+            spec.event_type
+            for root in self._roots
+            for spec in root.decomposed.negations
         )
 
     def retract_seq(self, seq: int) -> None:
         """Remove every trace of the event with sequence number ``seq``.
 
         Transitively drops partial matches that bound the event (store
-        tombstones via the consumed-purge hook), evicts it from the
-        variable, window, and negation candidate buffers, and kills
-        pending matches built on it.  Exact for skip-till-any-match
-        runs whose retracted event is not negation-relevant; the
-        disorder layer (:mod:`repro.streams.disorder`) re-derives every
-        other delta over the window around it.  Already-reported
-        matches are the caller's to retract — the engine keeps no
-        emitted-match log.
+        tombstones), evicts it from the variable, window, and negation
+        candidate buffers, and kills pending matches built on it.  Exact
+        for skip-till-any-match runs whose retracted event is not
+        negation-relevant; the disorder layer
+        (:mod:`repro.streams.disorder`) re-derives every other delta
+        over the window around it.  Already-reported matches are the
+        caller's to retract — the engine keeps no emitted-match log.
         """
         if any(e.seq == seq for e in self._window_events):
             self._window_events = deque(
@@ -325,14 +403,17 @@ class BaseEngine:
             )
         for buffer in self._buffers.values():
             buffer.remove_seq(seq)
-        self._negation.retract(seq)
-        self._purge_consumed(frozenset((seq,)))
-        negation = self._negation
-        if negation.pending:
-            negation.keep_pending(
-                [e for e in negation.pending if not e.pm.contains_seq(seq)]
-            )
-        self._consumed.discard(seq)
+        seqs = frozenset((seq,))
+        for store in self._stores:
+            store.purge_seqs(seqs)
+        for root in self._roots:
+            checker = root.checker
+            checker.retract(seq)
+            if checker.pending:
+                checker.keep_pending(
+                    [e for e in checker.pending if not e.pm.contains_seq(seq)]
+                )
+            root.consumed.discard(seq)
         self.metrics.retractions_processed += 1
 
     def _require_fresh(self, operation: str) -> None:
@@ -426,172 +507,102 @@ class BaseEngine:
 
     # -- shared plumbing ----------------------------------------------------
     def _advance_time(self, event: Event) -> list[Match]:
-        """Expire what left the window (only once the cutoff passed the
-        holdings watermark) and release due pending matches."""
+        """Expire what left the window (only once the shortest window's
+        cutoff passed the holdings watermark) and release due pending
+        matches."""
         self.metrics.events_processed += 1
         self._event_wall_started = time.perf_counter()
-        self._now = event.timestamp
-        cutoff = self._now - self.window
+        self._now = now = event.timestamp
         if event.type in self._relevant_types:
             self._window_events.append(event)
         window_events = self._window_events
+        cutoff = now - self.window
         while window_events and window_events[0].timestamp < cutoff:
             window_events.popleft()
         held = self._held
-        sweep = cutoff > held.oldest
+        sweep = now - self._shortest_window > held.oldest
         if sweep:
             held.oldest = float("inf")  # each prune / expire re-reports
             for buffer in self._buffers.values():
                 buffer.prune(cutoff)
-            self._negation.prune(cutoff)
+            for checker in self._negating:
+                checker.prune(now - checker.window)
         released: list[Match] = []
-        if self._negation.pending:
-            released = self._negation.release(self._now, self._make_match)
+        if held.pending:
+            for root in self._roots:
+                if root.checker.pending:
+                    released.extend(
+                        root.checker.release(
+                            now, partial(self._make_match, root)
+                        )
+                    )
         if sweep:
             # After the release, which may consume (and so purge) first.
             stats = self._expiry_stats
             if stats is None:
                 for store in self._stores:
-                    store.expire(cutoff)
+                    store.expire(now - store.window)
             else:
                 for store, stat in zip(self._stores, stats):
-                    stat.expired += store.expire(cutoff)
+                    stat.expired += store.expire(now - store.window)
         return released
 
-    def _check_extension(
-        self,
-        pm: PartialMatch,
-        variable: str,
-        event: Event,
-        predicates: Optional[list] = None,
-        kernel=INTERPRET,
-        disjoint: bool = False,
-    ) -> bool:
-        """Window + reuse + predicate check for binding ``event``.
-
-        ``predicates`` overrides the per-variable predicate list — used
-        by indexed probes to skip equalities the hash bucket already
-        guarantees (see :mod:`repro.engines.access`).  ``kernel``
-        replaces the interpreted evaluation with a compiled conjunction
-        (``None`` = empty predicate list, vacuously true); the
-        :data:`INTERPRET` sentinel keeps the interpreted path.
-        ``disjoint`` is the plan-time fact that no variable ``pm``
-        binds has ``variable``'s event type, so ``pm`` cannot already
-        hold ``event`` and the reuse check is skipped.
-        """
-        if event.seq in self._consumed:
-            return False
-        if not disjoint and pm.contains_seq(event.seq):
-            return False
-        if not pm.span_with(event, self.window):
-            return False
-        if kernel is not INTERPRET:
-            return True if kernel is None else kernel(pm.bindings, event)
-        if predicates is None:
-            predicates = self._preds_by_var[variable]
-        bindings = dict(pm.bindings)
-        if variable in self._kleene and variable in bindings:
-            # Absorbing into an existing tuple: check the new element only.
-            probe = dict(bindings)
-            probe[variable] = event
-            bound = set(probe)
-            for predicate in predicates:
-                if set(predicate.variables) <= bound:
-                    self.metrics.predicate_evaluations += 1
-                    passed = predicate.evaluate(probe)
-                    if self._sel_tracker is not None:
-                        self._observe_predicate(predicate, passed)
-                    if not passed:
-                        return False
-            return True
-        bindings[variable] = event
-        bound = set(bindings)
-        for predicate in predicates:
-            if set(predicate.variables) <= bound:
-                self.metrics.predicate_evaluations += 1
-                passed = predicate.evaluate(bindings)
-                if self._sel_tracker is not None:
-                    self._observe_predicate(predicate, passed)
-                if not passed:
-                    return False
-        return True
-
-    def _bounded_negation_ok(self, pm: PartialMatch, new_variable: str) -> bool:
-        """Run the bounded negation specs that just became checkable.
-
-        A spec is evaluated when ``new_variable`` completed its dependency
-        set — the "earliest point possible" rule of Section 5.3; specs not
-        involving the new variable were already checked earlier.
-        """
-        if not self._negation.active:
-            return True
-        bound = frozenset(pm.bindings)
-        for prepared in self._negation.specs_checkable_with(bound):
-            if new_variable not in prepared.required:
-                continue
-            if self._negation.violated(prepared, pm):
-                return False
-        return True
-
-    def _complete(self, pm: PartialMatch) -> Optional[Match]:
-        """Handle a partial match that bound every positive variable.
+    def _complete(self, root: Root, pm: PartialMatch) -> Optional[Match]:
+        """Handle a partial match that bound every positive variable of
+        ``root``.
 
         Returns the match when it can be emitted immediately; stores it in
         the pending set (and returns None) when a trailing negation range
         is still open.
         """
-        negation = self._negation
+        rename = root.rename
+        if rename is not None:
+            pm = PartialMatch(
+                {rename[k]: v for k, v in pm.bindings.items()},
+                pm.trigger_seq,
+                pm.min_ts,
+                pm.max_ts,
+            )
+        checker = root.checker
         # Leading NOT: the range [max_ts − W, following) is final only
         # now that the match is complete.
-        if negation.active and not negation.completion(
-            pm, self._now, negation.leading_specs()
+        if checker.active and not checker.completion(
+            pm, self._now, root.checks
         ):
             return None
-        return self._make_match(pm, self._now)
+        return self._make_match(root, pm, self._now)
 
-    def _make_match(self, pm: PartialMatch, detection_ts: float) -> Match:
+    def _make_match(
+        self, root: Root, pm: PartialMatch, detection_ts: float
+    ) -> Match:
         # Wall-clock detection latency: work performed since the engine
         # began processing the current event (Section 6.1).
         wall = time.perf_counter() - self._event_wall_started
         match = Match(
             pm,
             detection_ts,
-            pattern_name=self.pattern_name,
+            pattern_name=root.name,
             wall_latency=wall,
         )
         self.metrics.note_match(match.latency, wall)
-        if self.selection != SELECTION_ANY:
-            self._consume(pm)
+        root.matches += 1
+        if self._consuming:
+            self._consume(root, pm)
         return match
 
     # -- skip-till-next-match consumption ----------------------------------------
-    @property
-    def _consuming(self) -> bool:
-        return self.selection != SELECTION_ANY
-
-    def _consume(self, pm: PartialMatch) -> None:
-        """Mark the match's events consumed and purge structures using them."""
+    def _consume(self, root: Root, pm: PartialMatch) -> None:
+        """Mark the match's events consumed by ``root`` and purge the
+        root's structures using them."""
         seqs = pm.event_seqs()
-        self._consumed.update(seqs)
+        root.consumed.update(seqs)
         for buffer in self._buffers.values():
             for seq in seqs:
                 buffer.remove_seq(seq)
-        self._purge_consumed(seqs)
-        negation = self._negation
-        if negation.pending:
-            negation.keep_pending(
-                [e for e in negation.pending if not e.pm.event_seqs() & seqs]
-            )
-
-    def _purge_consumed(self, seqs: frozenset) -> None:
-        """Drop partial matches using consumed events from every store."""
-        for store in self._stores:
+        for store in root.stores:
             store.purge_seqs(seqs)
-
-    # -- accounting ----------------------------------------------------------------
-    @staticmethod
-    def _kleene_room(pm: PartialMatch, variable: str, limit: Optional[int]) -> bool:
-        if limit is None:
-            return True
-        value = pm.bindings.get(variable)
-        return not isinstance(value, tuple) or len(value) < limit
+        checker = root.checker
+        if checker.pending:
+            checker.keep_pending(
+                [e for e in checker.pending if not e.pm.event_seqs() & seqs]
+            )

@@ -1,12 +1,16 @@
 """Engine construction from planner output.
 
-:func:`build_engine` turns one :class:`~repro.optimizers.PlannedPattern`
-into the matching runtime (NFA for order plans, tree engine for tree
-plans).  :func:`build_engines` additionally handles disjunctions — a
-nested pattern planned by :func:`repro.optimizers.plan_pattern` yields
-one sub-engine per DNF disjunct, wrapped in a
-:class:`DisjunctionEngine` that runs them side by side and reports the
-union of their matches (Section 5.4).
+Two runtimes execute every plan: the lazy NFA
+(:class:`~repro.engines.nfa.NFAEngine`) runs a single order plan, and
+the plan-DAG runtime (:class:`~repro.multiquery.executor.DagEngine`)
+runs everything else.  :func:`build_engine` and :func:`build_engines`
+lower a tree plan to a one-root DAG and a disjunction — a nested
+pattern planned by :func:`repro.optimizers.plan_pattern` into one entry
+per DNF disjunct, of order or tree plans — to one DAG with a root per
+disjunct, each reporting its matches under the disjunct's name
+(Section 5.4).  Under skip-till-any-match the disjuncts share
+equivalent sub-joins; the restrictive strategies consume events per
+disjunct, so there each disjunct keeps a private tree.
 
 Workloads plug in here too: passing a
 :class:`~repro.multiquery.sharing.SharedPlan` (the output of
@@ -19,7 +23,7 @@ Two parallel-runtime hooks live here as well (:mod:`repro.parallel`):
 :class:`~repro.parallel.ParallelExecutor` instead of a single-process
 engine, and :func:`build_engine_from_parts` is the worker-side inverse
 of :func:`repro.plans.planned_to_dict` — it rebuilds a runtime engine
-from a decomposed pattern plus a serialized plan dict, which is exactly
+from decomposed patterns plus serialized plan dicts, which is exactly
 what a worker spec ships.
 """
 
@@ -33,20 +37,53 @@ if TYPE_CHECKING:  # one-way at runtime: multiquery builds on engines
     from ..parallel.executor import ParallelConfig, ParallelExecutor
 
 from ..errors import EngineError
-from ..events import Event, Stream
 from ..optimizers.planner import PlannedPattern
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from ..plans.serialization import plan_from_dict
 from ..plans.tree_plan import TreePlan
-from .base import BaseEngine
-from .matches import Match
-from .metrics import EngineMetrics
+from .base import SELECTION_ANY, BaseEngine
 from .nfa import NFAEngine
 from .snapshot import EngineSnapshot
-from .tree import TreeEngine
 
-Engine = Union[BaseEngine, "DisjunctionEngine"]
+
+def _lowered(parts, selection: str, **flags) -> BaseEngine:
+    """The runtime for ``(name, decomposed, plan)`` parts, one per DNF
+    disjunct: the NFA for a lone order plan, else the plan DAG."""
+    if len(parts) == 1 and isinstance(parts[0][2], OrderPlan):
+        name, decomposed, plan = parts[0]
+        return NFAEngine(
+            decomposed, plan, selection=selection, pattern_name=name, **flags
+        )
+    from ..multiquery.executor import DagEngine
+    from ..multiquery.sharing import lower_plans
+
+    sharing = len(parts) > 1 and selection == SELECTION_ANY
+    return DagEngine(
+        lower_plans(parts, sharing=sharing), selection=selection, **flags
+    )
+
+
+def build_runtime(
+    decomposed: DecomposedPattern,
+    plan: Union[OrderPlan, TreePlan],
+    selection: str = SELECTION_ANY,
+    pattern_name: Optional[str] = None,
+    max_kleene_size: Optional[int] = None,
+    indexed: bool = True,
+    compiled: bool = True,
+    codegen: bool = True,
+) -> BaseEngine:
+    """The runtime for one decomposed pattern and its plan: the NFA for
+    an order plan, the one-root plan DAG for a tree plan."""
+    return _lowered(
+        [(pattern_name, decomposed, plan)],
+        selection,
+        max_kleene_size=max_kleene_size,
+        indexed=indexed,
+        compiled=compiled,
+        codegen=codegen,
+    )
 
 
 def build_engine(
@@ -73,34 +110,14 @@ def build_engine(
     stat per plan node and turns on per-node attribution; without it the
     hot path stays observation-free (see :mod:`repro.observe`).
     """
-    common = dict(
-        selection=planned.selection,
-        max_kleene_size=max_kleene_size,
-        pattern_name=planned.pattern.name,
-        indexed=indexed,
-        compiled=compiled,
-        codegen=codegen,
+    return build_engines(
+        [planned], max_kleene_size, indexed, seed=seed, compiled=compiled,
+        codegen=codegen, tracer=tracer,
     )
-    if isinstance(planned.plan, OrderPlan):
-        engine = NFAEngine(planned.decomposed, planned.plan, **common)
-    elif isinstance(planned.plan, TreePlan):
-        engine = TreeEngine(planned.decomposed, planned.plan, **common)
-    else:
-        raise EngineError(
-            f"unsupported plan type {type(planned.plan).__name__}"
-        )
-    if seed is not None:
-        engine.seed_from(seed)
-    if tracer is not None:
-        engine.set_tracer(tracer)
-    return engine
 
 
 def build_engine_from_parts(
-    decomposed: DecomposedPattern,
-    plan_data: dict,
-    selection: str = "any",
-    pattern_name: Optional[str] = None,
+    parts: Sequence[dict],
     max_kleene_size: Optional[int] = None,
     indexed: bool = True,
     compiled: bool = True,
@@ -108,26 +125,27 @@ def build_engine_from_parts(
 ) -> BaseEngine:
     """Rebuild a runtime engine from shipped parts (worker side).
 
-    ``plan_data`` is the ``"plan"`` entry of
-    :func:`repro.plans.planned_to_dict` (or any
-    :func:`repro.plans.plan_to_dict` output); the decomposed pattern
-    travels alongside it.  Dispatches on the reconstructed plan type
-    exactly like :func:`build_engine`.
+    One part per DNF disjunct: ``{"decomposed": ..., "planned": ...}``,
+    the decomposed pattern plus its :func:`repro.plans.planned_to_dict`
+    serialization.  Lowers exactly like :func:`build_engines`.
     """
-    plan = plan_from_dict(plan_data)
-    common = dict(
-        selection=selection,
+    if not parts:
+        raise EngineError("no planned parts supplied")
+    return _lowered(
+        [
+            (
+                part["planned"]["pattern_name"],
+                part["decomposed"],
+                plan_from_dict(part["planned"]["plan"]),
+            )
+            for part in parts
+        ],
+        parts[0]["planned"]["selection"],
         max_kleene_size=max_kleene_size,
-        pattern_name=pattern_name,
         indexed=indexed,
         compiled=compiled,
         codegen=codegen,
     )
-    if isinstance(plan, OrderPlan):
-        return NFAEngine(decomposed, plan, **common)
-    if isinstance(plan, TreePlan):
-        return TreeEngine(decomposed, plan, **common)
-    raise EngineError(f"unsupported plan type {type(plan).__name__}")
 
 
 def build_engines(
@@ -135,14 +153,14 @@ def build_engines(
     max_kleene_size: Optional[int] = None,
     indexed: bool = True,
     parallel: Optional[Union["ParallelConfig", int]] = None,
-    seed: Optional[object] = None,
+    seed: Optional[EngineSnapshot] = None,
     compiled: bool = True,
     codegen: bool = True,
     tracer=None,
-) -> Union[Engine, "MultiQueryEngine", "ParallelExecutor"]:
-    """Engine for planner output: single engine, disjunction wrapper, or
-    — for a :class:`~repro.multiquery.sharing.SharedPlan` — the shared
-    multi-query engine.
+) -> Union[BaseEngine, "MultiQueryEngine", "ParallelExecutor"]:
+    """Engine for planner output: the NFA or the plan DAG (see the module
+    docstring), or — for a :class:`~repro.multiquery.sharing.SharedPlan`
+    — the shared multi-query engine.
 
     ``parallel`` (a :class:`~repro.parallel.ParallelConfig`, or an int
     taken as the worker count) returns a
@@ -151,12 +169,10 @@ def build_engines(
     merges match lists canonically (see :mod:`repro.parallel`).
 
     ``seed`` rebuilds engine state from a snapshot before any live event
-    arrives (live plan migration, :mod:`repro.adaptive`): for a single
-    planned pattern pass the engine's
-    :class:`~repro.engines.snapshot.EngineSnapshot`; for a disjunction
-    pass what :meth:`DisjunctionEngine.export_state` returned (one
-    snapshot per disjunct).  Seeding parallel executors and shared
-    multi-query plans is not supported.
+    arrives (live plan migration, :mod:`repro.adaptive`): pass the
+    :class:`~repro.engines.snapshot.EngineSnapshot` a running engine of
+    the same pattern (or workload) exported.  Seeding parallel
+    executors is not supported.
 
     ``tracer`` attaches plan-DAG tracing (:mod:`repro.observe`) to the
     built engine — every plan node registers a stat, and the same match
@@ -191,8 +207,6 @@ def build_engines(
             codegen=codegen,
         )
     if isinstance(planned, _SharedPlan):
-        if seed is not None:
-            raise EngineError("shared multi-query plans cannot be seeded")
         from ..multiquery.executor import MultiQueryEngine as _MultiQueryEngine
 
         engine = _MultiQueryEngine(
@@ -202,137 +216,19 @@ def build_engines(
             compiled=compiled,
             codegen=codegen,
         )
-        if tracer is not None:
-            engine.set_tracer(tracer)
-        return engine
-    if not planned:
-        raise EngineError("no planned patterns supplied")
-    if len(planned) == 1:
-        if seed is not None and not isinstance(seed, EngineSnapshot):
-            (seed,) = seed  # a one-element export_state list is fine
-        return build_engine(
-            planned[0],
-            max_kleene_size,
-            indexed,
-            seed=seed,
+    else:
+        if not planned:
+            raise EngineError("no planned patterns supplied")
+        engine = _lowered(
+            [(i.pattern.name, i.decomposed, i.plan) for i in planned],
+            planned[0].selection,
+            max_kleene_size=max_kleene_size,
+            indexed=indexed,
             compiled=compiled,
             codegen=codegen,
-            tracer=tracer,
         )
-    engines = [
-        build_engine(
-            item, max_kleene_size, indexed, compiled=compiled,
-            codegen=codegen,
-        )
-        for item in planned
-    ]
-    wrapper = DisjunctionEngine(engines)
     if seed is not None:
-        wrapper.seed_from(seed)
+        engine.seed_from(seed)
     if tracer is not None:
-        wrapper.set_tracer(tracer)
-    return wrapper
-
-
-class DisjunctionEngine:
-    """Runs one engine per disjunct; matches are the union of outputs.
-
-    Mirrors Section 5.4: every conjunctive subpattern of the DNF is
-    detected independently.  (Shared-subexpression optimizations across
-    disjuncts are out of the paper's scope.)
-    """
-
-    def __init__(self, engines: Sequence[BaseEngine]) -> None:
-        if not engines:
-            raise EngineError("disjunction needs at least one engine")
-        self.engines = list(engines)
-
-    def process(self, event: Event) -> list[Match]:
-        matches: list[Match] = []
-        for engine in self.engines:
-            matches.extend(engine.process(event))
-        return matches
-
-    def run(self, stream: Stream) -> list[Match]:
-        matches: list[Match] = []
-        for event in stream:
-            matches.extend(self.process(event))
-        matches.extend(self.finalize())
-        return matches
-
-    def finalize(self) -> list[Match]:
-        matches: list[Match] = []
-        for engine in self.engines:
-            matches.extend(engine.finalize())
-        return matches
-
-    # -- live plan migration -------------------------------------------------
-    def export_state(self) -> list[EngineSnapshot]:
-        """One plan-independent snapshot per disjunct sub-engine."""
-        return [engine.export_state() for engine in self.engines]
-
-    def seed_from(self, snapshots: Sequence[EngineSnapshot]) -> None:
-        """Seed each sub-engine from its positional snapshot (the shape
-        :meth:`export_state` returns — disjunct order is deterministic
-        for one pattern, so positions line up across replans)."""
-        snapshots = list(snapshots)
-        if len(snapshots) != len(self.engines):
-            raise EngineError(
-                f"{len(snapshots)} snapshots for {len(self.engines)} "
-                "disjunct engines"
-            )
-        for engine, snapshot in zip(self.engines, snapshots):
-            engine.seed_from(snapshot)
-
-    def seed_negation_state(
-        self, snapshots: Sequence[EngineSnapshot]
-    ) -> None:
-        snapshots = list(snapshots)
-        if len(snapshots) != len(self.engines):
-            raise EngineError(
-                f"{len(snapshots)} snapshots for {len(self.engines)} "
-                "disjunct engines"
-            )
-        for engine, snapshot in zip(self.engines, snapshots):
-            engine.seed_negation_state(snapshot)
-
-    def set_selectivity_tracker(self, tracker) -> None:
-        for engine in self.engines:
-            engine.set_selectivity_tracker(tracker)
-
-    # -- retraction deltas (repro.streams.disorder) --------------------------
-    @property
-    def selection(self) -> str:
-        return self.engines[0].selection
-
-    @property
-    def window(self) -> float:
-        """Largest disjunct window: how far one event's influence reaches."""
-        return max(engine.window for engine in self.engines)
-
-    def negation_event_types(self) -> frozenset:
-        types: frozenset = frozenset()
-        for engine in self.engines:
-            types |= engine.negation_event_types()
-        return types
-
-    def retract_seq(self, seq: int) -> None:
-        """Apply one retraction to every disjunct sub-engine."""
-        for engine in self.engines:
-            engine.retract_seq(seq)
-
-    def set_tracer(self, tracer) -> None:
-        """Attach one shared tracer to every disjunct sub-engine (their
-        nodes stay apart via per-node labels)."""
-        for engine in self.engines:
-            engine.set_tracer(tracer)
-
-    @property
-    def metrics(self) -> EngineMetrics:
-        merged = self.engines[0].metrics
-        for engine in self.engines[1:]:
-            merged = merged.merge(engine.metrics)
-        return merged
-
-    def __repr__(self) -> str:
-        return f"DisjunctionEngine({len(self.engines)} sub-engines)"
+        engine.set_tracer(tracer)
+    return engine

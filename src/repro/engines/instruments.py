@@ -34,8 +34,7 @@ class Instrument(NamedTuple):
     is the key :meth:`EngineMetrics.summary` reports it under;
     ``scope`` groups the field table (engine / parallel / adaptive /
     disorder / service); ``help`` is the one-line Prometheus HELP string;
-    ``detail`` is the full field-table prose; ``merge`` overrides the
-    kind's :data:`MERGE_RULES` entry (see :attr:`merge_rule`).
+    ``detail`` is the full field-table prose.
     """
 
     name: str
@@ -44,27 +43,6 @@ class Instrument(NamedTuple):
     scope: str
     help: str
     detail: str
-    merge: str = ""
-
-    @property
-    def merge_rule(self) -> str:
-        """How :meth:`EngineMetrics.merge` combines two values."""
-        return self.merge or MERGE_RULES[self.kind]
-
-
-#: Default merge rule per instrument kind.  ``add``: counters add and
-#: sample lists concatenate in order.  ``peak``: add when the merged
-#: engines ran concurrently (their live structures coexisted), max when
-#: they were sequential generations.  ``stream``: add across disjoint
-#: stream shards, max across engines that all saw one stream.
-#: ``histogram``: bucket-wise merge (counts are counters under both
-#: merge modes).
-MERGE_RULES = {
-    "counter": "add",
-    "samples": "add",
-    "peak": "peak",
-    "histogram": "histogram",
-}
 
 
 INSTRUMENTS: Tuple[Instrument, ...] = (
@@ -72,7 +50,6 @@ INSTRUMENTS: Tuple[Instrument, ...] = (
         "events_processed", "counter", "events", "engine",
         "primitive events fed to process() by this engine",
         "primitive events fed to ``process`` by this engine",
-        merge="stream",
     ),
     Instrument(
         "matches_emitted", "counter", "matches", "engine",

@@ -267,39 +267,33 @@ class EngineMetrics:
     def merge(
         self,
         other: "EngineMetrics",
-        disjoint_streams: bool = False,
         concurrent: bool = True,
     ) -> "EngineMetrics":
         """Combine the metrics of two engines into one report.
 
-        Each field follows its declared
-        :attr:`~repro.engines.instruments.Instrument.merge_rule`.
-        Counters add.  With ``concurrent=True`` (the default) peaks add
-        as well because the merged engines run side by side, so their
-        live structures coexist (for sub-engines of a disjunction over
-        one stream, and for parallel workers over stream shards alike).
+        Each field merges by its declared
+        :class:`~repro.engines.instruments.Instrument` kind.  Counters
+        add — ``events_processed`` too: merged engines each count the
+        events they were fed (parallel workers their shards, adaptive
+        generations their stream segments) — and sample lists
+        concatenate in order.  Histograms merge bucket-wise.  With
+        ``concurrent=True`` (the default) peaks add as well because the
+        merged engines run side by side, so their live structures
+        coexist (parallel workers over stream shards).
         ``concurrent=False`` takes the max of the peaks instead — the
         rule for *sequential* engine generations, e.g. the adaptive
         controller's retired engines, whose stores never coexist.
-
-        ``disjoint_streams`` selects the ``events_processed`` rule:
-        sub-engines of a disjunction see the *same* stream, so the event
-        count is the max; parallel workers each process their own shard
-        — and adaptive engine generations their own stream segment — so
-        those counts add (see :mod:`repro.parallel`).
         """
-        adds = {"add": True, "peak": concurrent, "stream": disjoint_streams}
         merged = EngineMetrics()
         for entry in INSTRUMENTS:
             mine = getattr(self, entry.name)
             theirs = getattr(other, entry.name)
-            rule = entry.merge_rule
-            if rule == "histogram":
+            if entry.kind == "histogram":
                 value = mine.merge(theirs)
-            elif adds[rule]:
-                value = mine + theirs
-            else:
+            elif entry.kind == "peak" and not concurrent:
                 value = max(mine, theirs)
+            else:
+                value = mine + theirs
             setattr(merged, entry.name, value)
         return merged
 

@@ -33,6 +33,7 @@ from typing import Optional
 
 from ..events import Event
 from ..patterns.compile import compile_event_kernel
+from ..patterns.predicates import Predicate
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
 from .access import AccessPath, extension_kernel, transition_paths
@@ -57,16 +58,25 @@ class NFAEngine(BaseEngine):
         codegen: bool = True,
     ) -> None:
         super().__init__(
-            decomposed,
+            [(pattern_name, decomposed)],
             selection=selection,
             max_kleene_size=max_kleene_size,
-            pattern_name=pattern_name,
             indexed=indexed,
             compiled=compiled,
             codegen=codegen,
         )
         plan.validate_for(decomposed)
         self.plan = plan
+        self._root = self._roots[0]
+        self._negation = self._root.checker
+        self._consumed = self._root.consumed
+        self._conditions = decomposed.conditions
+        self._kleene = decomposed.kleene
+        # Predicates indexed by variable for incremental checking.
+        self._preds_by_var: dict[str, list[Predicate]] = {
+            v: list(self._conditions.involving(v))
+            for v, _ in decomposed.positives
+        }
         self._order = plan.variables
         self._n = len(self._order)
         self._position = {v: i for i, v in enumerate(self._order)}
@@ -90,8 +100,9 @@ class NFAEngine(BaseEngine):
             )
         # _disjoint[p]: no earlier position has order[p]'s event type, so
         # binding order[p] onto an instance never needs the reuse check.
+        types = dict(decomposed.positives)
         self._disjoint = [
-            self._types[v] not in {self._types[u] for u in self._order[:p]}
+            types[v] not in {types[u] for u in self._order[:p]}
             for p, v in enumerate(self._order)
         ]
         # _states[s] holds instances with the first s variables bound, for
@@ -101,10 +112,10 @@ class NFAEngine(BaseEngine):
         # later events can still grow the tuple (each growth emits a
         # further match) — the self-loop of the Kleene NFA state.
         self._states: dict[int, PartialMatchStore] = {
-            s: PartialMatchStore(self.metrics, self._held)
+            s: PartialMatchStore(self.metrics, self._held, self.window)
             for s in range(1, self._n + 1)
         }
-        self._stores = list(self._states.values())
+        self._stores = self._root.stores = list(self._states.values())
         self._absorbing_accept = (
             self._order[-1] in self._kleene
         )
@@ -319,7 +330,7 @@ class NFAEngine(BaseEngine):
             if not self._bounded_negation_ok(pm, bound_var):
                 continue
             if state == self._n:
-                match = self._complete(pm)
+                match = self._complete(self._root, pm)
                 if match is not None:
                     matches.append(match)
                     if tstats is not None:
@@ -394,6 +405,89 @@ class NFAEngine(BaseEngine):
                 )
                 created.append((absorbed, state))
         return created
+
+    # -- checks --------------------------------------------------------------
+    def _check_extension(
+        self,
+        pm: PartialMatch,
+        variable: str,
+        event: Event,
+        predicates: Optional[list] = None,
+        kernel=INTERPRET,
+        disjoint: bool = False,
+    ) -> bool:
+        """Window + reuse + predicate check for binding ``event``.
+
+        ``predicates`` overrides the per-variable predicate list — used
+        by indexed probes to skip equalities the hash bucket already
+        guarantees (see :mod:`repro.engines.access`).  ``kernel``
+        replaces the interpreted evaluation with a compiled conjunction
+        (``None`` = empty predicate list, vacuously true); the
+        :data:`INTERPRET` sentinel keeps the interpreted path.
+        ``disjoint`` is the plan-time fact that no variable ``pm``
+        binds has ``variable``'s event type, so ``pm`` cannot already
+        hold ``event`` and the reuse check is skipped.
+        """
+        if event.seq in self._consumed:
+            return False
+        if not disjoint and pm.contains_seq(event.seq):
+            return False
+        if not pm.span_with(event, self.window):
+            return False
+        if kernel is not INTERPRET:
+            return True if kernel is None else kernel(pm.bindings, event)
+        if predicates is None:
+            predicates = self._preds_by_var[variable]
+        bindings = dict(pm.bindings)
+        if variable in self._kleene and variable in bindings:
+            # Absorbing into an existing tuple: check the new element only.
+            probe = dict(bindings)
+            probe[variable] = event
+            bound = set(probe)
+            for predicate in predicates:
+                if set(predicate.variables) <= bound:
+                    self.metrics.predicate_evaluations += 1
+                    passed = predicate.evaluate(probe)
+                    if self._sel_tracker is not None:
+                        self._observe_predicate(predicate, passed)
+                    if not passed:
+                        return False
+            return True
+        bindings[variable] = event
+        bound = set(bindings)
+        for predicate in predicates:
+            if set(predicate.variables) <= bound:
+                self.metrics.predicate_evaluations += 1
+                passed = predicate.evaluate(bindings)
+                if self._sel_tracker is not None:
+                    self._observe_predicate(predicate, passed)
+                if not passed:
+                    return False
+        return True
+
+    def _bounded_negation_ok(self, pm: PartialMatch, new_variable: str) -> bool:
+        """Run the bounded negation specs that just became checkable.
+
+        A spec is evaluated when ``new_variable`` completed its dependency
+        set — the "earliest point possible" rule of Section 5.3; specs not
+        involving the new variable were already checked earlier.
+        """
+        if not self._negation.active:
+            return True
+        bound = frozenset(pm.bindings)
+        for prepared in self._negation.specs_checkable_with(bound):
+            if new_variable not in prepared.required:
+                continue
+            if self._negation.violated(prepared, pm):
+                return False
+        return True
+
+    @staticmethod
+    def _kleene_room(pm: PartialMatch, variable: str, limit: Optional[int]) -> bool:
+        if limit is None:
+            return True
+        value = pm.bindings.get(variable)
+        return not isinstance(value, tuple) or len(value) < limit
 
     def __repr__(self) -> str:
         return f"NFAEngine(plan={self.plan!r}, selection={self.selection!r})"

@@ -9,7 +9,8 @@ plan switch:
   subsets of this set);
 * the **partial matches** in flight (including the accepting-state
   pending matches deferred on trailing-negation deadlines);
-* the **consumed-event set** of the restrictive selection strategies.
+* the **consumed-event sets** (one per root) of the restrictive
+  selection strategies.
 
 Everything an engine stores beyond that — which node/state a partial
 match is buffered at, which hash bucket an event occupies — is a
@@ -34,7 +35,7 @@ counts.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 from ..events import Event
 from .matches import PartialMatch
@@ -98,14 +99,16 @@ class EngineSnapshot:
         events: Sequence[Event],
         now: float,
         window: float,
-        consumed: frozenset = frozenset(),
+        consumed: Sequence[Iterable[int]] = (),
         partial_matches: Sequence[PMDescriptor] = (),
         pending: Sequence[Tuple[PMDescriptor, float]] = (),
     ) -> None:
         self.events = tuple(events)
         self.now = float(now)
         self.window = float(window)
-        self.consumed = frozenset(consumed)
+        # One set of consumed sequence numbers per engine root (empty:
+        # nothing consumed).
+        self.consumed = tuple(frozenset(seqs) for seqs in consumed)
         self.partial_matches = tuple(partial_matches)
         self.pending = tuple(pending)
 
@@ -114,6 +117,12 @@ class EngineSnapshot:
         """Live partial matches captured (pending matches excluded)."""
         return len(self.partial_matches)
 
+    @property
+    def migrated_count(self) -> int:
+        """Partial matches plus pending matches — the ``pm_migrated``
+        accounting unit."""
+        return len(self.partial_matches) + len(self.pending)
+
     def __repr__(self) -> str:
         return (
             f"EngineSnapshot({len(self.events)} events, "
@@ -121,17 +130,3 @@ class EngineSnapshot:
             f"{len(self.pending)} pending, now={self.now:g})"
         )
 
-
-#: What :meth:`DisjunctionEngine.export_state` returns: one snapshot per
-#: sub-engine (each disjunct tracks its own state over the same stream).
-SnapshotLike = Union[EngineSnapshot, Sequence[EngineSnapshot]]
-
-
-def snapshot_pm_count(snapshot: Optional[SnapshotLike]) -> int:
-    """Partial matches (live + pending) across a snapshot or a list of
-    per-disjunct snapshots — the ``pm_migrated`` accounting unit."""
-    if snapshot is None:
-        return 0
-    if isinstance(snapshot, EngineSnapshot):
-        return snapshot.partial_match_count + len(snapshot.pending)
-    return sum(snapshot_pm_count(item) for item in snapshot)

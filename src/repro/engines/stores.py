@@ -543,12 +543,14 @@ class PartialMatchStore:
         "_exp_pms",
         "metrics",
         "holdings",
+        "window",
     )
 
     def __init__(
         self,
         metrics: Optional[EngineMetrics] = None,
         holdings: Optional[Holdings] = None,
+        window: float = float("inf"),
     ) -> None:
         self._pms: List[PartialMatch] = []  # primary run, trigger order
         self._trigs: List[int] = []
@@ -560,6 +562,8 @@ class PartialMatchStore:
         self._exp_pms: List[PartialMatch] = []
         self.metrics = metrics
         self.holdings = holdings if holdings is not None else Holdings()
+        # The node's window: its engine expires it at ``now - window``.
+        self.window = window
 
     # -- setup --------------------------------------------------------------
     def add_index(

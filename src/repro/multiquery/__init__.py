@@ -7,7 +7,9 @@ into a global plan DAG (:mod:`repro.multiquery.sharing`) keyed by
 canonical sub-pattern fingerprints (:mod:`repro.multiquery.workload`),
 and executed by one :class:`MultiQueryEngine`
 (:mod:`repro.multiquery.executor`) that evaluates every shared node once
-per event and fans results out to all consuming queries.
+per event and fans results out to all consuming queries.  The same
+plan-DAG runtime (:class:`DagEngine`) runs every single tree plan and
+every disjunction, lowered by :func:`lower_plans`.
 
 Typical use::
 
@@ -33,7 +35,7 @@ from ..optimizers.planner import plan_pattern
 from ..patterns.pattern import Pattern
 from ..stats.catalog import StatisticsCatalog
 from ..stats.estimators import estimate_pattern_catalog
-from .executor import MultiQueryEngine, WorkloadResult
+from .executor import DagEngine, MultiQueryEngine, WorkloadResult
 from .sharing import (
     QueryRoot,
     SharedJoin,
@@ -43,6 +45,7 @@ from .sharing import (
     SharedPlanOptimizer,
     SharingReport,
     ShareFilter,
+    lower_plans,
 )
 from .workload import (
     Workload,
@@ -210,6 +213,8 @@ __all__ = [
     "SharingReport",
     "ShareFilter",
     "QueryRoot",
+    "lower_plans",
+    "DagEngine",
     "MultiQueryEngine",
     "WorkloadResult",
     "plan_workload",

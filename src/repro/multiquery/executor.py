@@ -1,60 +1,48 @@
-"""Multi-query execution: one pass over the stream, many queries answered.
+"""The plan-DAG runtime: every tree plan, disjunction and workload.
 
-:class:`MultiQueryEngine` runs a :class:`~repro.multiquery.sharing.SharedPlan`
-with the same instance-based discipline as
-:class:`~repro.engines.tree.TreeEngine` — one partial-match instance per
-valid combination, created while processing its latest constituent event,
-eagerly propagated upward — generalized from a tree to a DAG:
+:class:`DagEngine` runs a :class:`~repro.multiquery.sharing.SharedPlan`
+— join nodes plus one or more roots — as a
+:class:`~repro.engines.base.BaseEngine` runtime: a tree plan lowered to
+one root (the instance-based ZStream runtime of Section 2.3, with
+sliding windows), a disjunction to one root per DNF disjunct (Section
+5.4), and a workload (:class:`MultiQueryEngine`) to one root per query.
 
-* every shared node admits / combines **once per event**, regardless of
-  how many queries consume its output;
-* an instance created at a node fans out along *all* parent edges, each
-  edge carrying a variable renaming into the parent's namespace (the
-  same node can even feed both sides of one join — self-joins and
-  merged symmetric subtrees);
-* query roots convert instances into per-query :class:`Match` objects,
-  applying that query's negation specs (bounded checks plus the pending
-  mechanism for trailing ranges) at the root.  Deferring bounded checks
-  from the paper's lowest-covering-node placement to the root is exact:
-  the stream is timestamp-ordered, so no forbidden candidate inside a
-  closed range can arrive or be window-pruned between the two points.
+Every node stores *instances* — partial matches over its leaf
+variables.  An event creates an instance at each leaf admitting it; a
+new instance is combined with the earlier instances of its sibling
+along *every* parent edge, each edge renaming into the parent's
+namespace, and results propagate eagerly upward.  A shared node admits
+and combines once per event however many roots read it, and the
+trigger discipline (combine only with strictly earlier instances) forms
+each combination exactly once, so every root reports exactly the
+matches of its pattern run alone.  Leaf stores are the event buffers
+(``PM(l) = W·r_i``, Section 4.2).
 
-The trigger discipline (combine only with strictly earlier instances)
-carries over verbatim, so per-query match sets are **identical** to
-running each pattern in its own engine — the invariant the multi-query
-equivalence tests assert.
-
-Only skip-till-any-match workloads are supported: the restrictive
-selection strategies consume events per query, which is incompatible
-with cross-query shared state.
-
-Shared nodes store their instances in the same
-:class:`~repro.engines.stores.PartialMatchStore` as the single-query
-engines, and the per-node expiry sweep is skipped while the shortest
-window's cutoff has not passed the watermark of the
-:class:`~repro.engines.stores.Holdings` tally they share with every
-query's negation buffers.  Every DAG edge probes its sibling's store
-through the same
-:class:`~repro.engines.access.AccessPath` as a tree node — built by
-:func:`~repro.engines.access.join_paths` with the edge renamings.
+A bounded negation check (Section 5.3) sits at the lowest node that
+covers its variables and that only its own root reads through identity
+renamings; failing that it runs on the complete match, which is exact
+on a timestamp-ordered stream.  The restrictive selection strategies
+consume events per root — own consumed set, first pairing only, purges
+of the root's stores — so they need every node private to one root.
+Each edge probes its sibling's store through an
+:class:`~repro.engines.access.AccessPath` from
+:func:`~repro.engines.access.join_paths`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..engines.access import AccessPath, join_paths
-from ..engines.base import INTERPRET, traced
+from ..engines.base import INTERPRET, SELECTION_ANY, BaseEngine, Root, traced
 from ..engines.matches import Match, PartialMatch
 from ..engines.metrics import EngineMetrics
-from ..engines.negation import NegationChecker
-from ..engines.stores import Holdings, PartialMatchStore
-from ..patterns.compile import compile_event_kernel
+from ..engines.stores import PartialMatchStore
+from ..errors import EngineError
 from ..events import Event, Stream
-from .sharing import QueryRoot, SharedJoin, SharedLeaf, SharedPlan
+from ..patterns.compile import compile_event_kernel
+from .sharing import SharedJoin, SharedLeaf, SharedPlan
 
 
 def group_by_query(
@@ -74,88 +62,48 @@ def group_by_query(
     return grouped
 
 
-class _QueryState:
-    """Per-query runtime: renaming, negation checking, pending matches
-    (the checker's)."""
-
-    __slots__ = (
-        "query",
-        "rename",
-        "identity",
-        "window",
-        "checker",
-        "matches_emitted",
-    )
-
-    def __init__(self, root: QueryRoot, held: Holdings) -> None:
-        self.query = root.query
-        self.rename = dict(root.rename)
-        self.identity = all(k == v for k, v in self.rename.items())
-        self.window = root.decomposed.window
-        self.checker = NegationChecker(
-            root.decomposed.negations,
-            root.decomposed.negation_conditions,
-            root.decomposed.window,
-            holdings=held,
-        )
-        self.matches_emitted = 0
-
-    def complete(
-        self, pm: PartialMatch, now: float, engine: "MultiQueryEngine"
-    ) -> Optional[Match]:
-        """Turn a root instance into a match (or pend / drop it)."""
-        if self.identity:
-            qpm = pm
-        else:
-            qpm = PartialMatch(
-                {self.rename[k]: v for k, v in pm.bindings.items()},
-                pm.trigger_seq,
-                pm.min_ts,
-                pm.max_ts,
-            )
-        checker = self.checker
-        if checker.active and not checker.completion(
-            qpm,
-            now,
-            checker.specs_checkable_with(frozenset(qpm.bindings))
-            + checker.leading_specs(),
-        ):
-            return None
-        return engine._emit(self, qpm, now)
-
-    def finalize(self, engine: "MultiQueryEngine") -> List[Match]:
-        """End of stream: trailing ranges can no longer be violated."""
-        pending = self.checker.pending
-        self.checker.keep_pending([])
-        return [engine._emit(self, e.pm, e.deadline) for e in pending]
-
-
 class _Edge:
     """One parent hookup of a DAG node: the renamings into the parent's
     namespace plus the access path into the sibling's store."""
 
-    __slots__ = ("parent", "my_map", "other_map", "path")
+    __slots__ = ("parent", "my_map", "other_map", "identity", "path")
 
     def __init__(self, parent, my_map, other_map, path: AccessPath) -> None:
         self.parent = parent
         self.my_map = my_map
         self.other_map = other_map
+        # Both renamings identity: merge the two binding dicts as is.
+        self.identity = all(
+            k == v for m in (my_map, other_map) for k, v in m.items()
+        )
         self.path = path
 
 
 class _RuntimeNode:
-    """Mutable store attached to one shared plan node."""
+    """Mutable state attached to one DAG node."""
 
     __slots__ = (
-        "spec", "store", "parents", "states", "kleene", "overlap",
-        "admit_kernel", "tstat",
+        "spec", "store", "window", "parents", "roots", "owner", "identity",
+        "negation", "consumed", "kleene", "overlap", "admit_kernel",
+        "tstat",
     )
 
-    def __init__(self, spec, metrics: EngineMetrics, held: Holdings) -> None:
+    def __init__(self, spec, store: PartialMatchStore) -> None:
         self.spec = spec
-        self.store = PartialMatchStore(metrics, held)
+        self.store = store
+        self.window = spec.window
         self.parents: List[_Edge] = []
-        self.states: List[_QueryState] = []
+        # Roots completing at this node.
+        self.roots: List[Root] = []
+        # The one root reading this node (None: several, or through
+        # more than one edge), and whether every renaming on the way to
+        # it is the identity — bindings here use the root's names.
+        self.owner: Optional[Root] = None
+        self.identity = False
+        # Bounded negation specs of ``owner`` checked here (Section 5.3).
+        self.negation: list = []
+        # The owner's consumed events (restrictive strategies).
+        self.consumed: set = set()
         # Variables (in this node's representative namespace) bound to
         # Kleene tuples — equality keys over them require the common
         # per-element value (see repro.engines.stores.kleene_key_value).
@@ -169,48 +117,46 @@ class _RuntimeNode:
         self.tstat = None
 
 
-class MultiQueryEngine:
-    """Executes a workload's shared plan over a single stream.
+class DagEngine(BaseEngine):
+    """Instance-based evaluation of a plan DAG with one or more roots.
 
-    ``run`` returns a mapping from query name to that query's matches;
-    ``process`` returns the flat per-event match list (each
-    :class:`Match` carries its query in ``pattern_name``).  ``metrics``
-    aggregates the work of the whole workload — with sharing enabled,
-    ``partial_matches_created`` and ``predicate_evaluations`` count each
-    shared evaluation once, which is exactly the multi-query win.
+    ``run``/``process`` return flat match lists; each :class:`Match`
+    carries its root's name in ``pattern_name``.  ``metrics`` counts
+    each shared evaluation once — with sharing,
+    ``partial_matches_created`` and ``predicate_evaluations`` are
+    exactly the multi-query win.
     """
 
     def __init__(
         self,
         plan: SharedPlan,
+        selection: str = SELECTION_ANY,
         max_kleene_size: Optional[int] = None,
         indexed: bool = True,
         compiled: bool = True,
         codegen: bool = True,
     ) -> None:
+        super().__init__(
+            [(root.query, root.decomposed) for root in plan.roots],
+            selection=selection,
+            max_kleene_size=max_kleene_size,
+            indexed=indexed,
+            compiled=compiled,
+            codegen=codegen,
+        )
         self.plan = plan
-        self.max_kleene_size = max_kleene_size
-        self.indexed = indexed
-        self.compiled = compiled
-        self.codegen = codegen
-        self.metrics = EngineMetrics()
-        self._now = float("-inf")
-        self._event_wall_started = 0.0
-        # Plan-DAG tracing (repro.observe): None keeps the hot path
-        # observation-free — no counter bumps, no clock reads.
-        self._tracer = None
-        self._held = Holdings()
-
         runtime: Dict[int, _RuntimeNode] = {}
         types: Dict[int, frozenset] = {}  # event types a node binds
         for node in plan.nodes:  # topological: children precede parents
-            rt = _RuntimeNode(node, self.metrics, self._held)
+            rt = _RuntimeNode(
+                node, PartialMatchStore(self.metrics, self._held, node.window)
+            )
             runtime[node.index] = rt
             if isinstance(node, SharedLeaf):
                 types[node.index] = frozenset((node.event_type,))
                 if node.kleene:
                     rt.kleene = frozenset((node.variable,))
-            elif isinstance(node, SharedJoin):
+            else:
                 left_types = types[node.left.index]
                 right_types = types[node.right.index]
                 types[node.index] = left_types | right_types
@@ -249,56 +195,95 @@ class MultiQueryEngine:
                 right.parents.append(
                     _Edge(parent, node.right_map, node.left_map, from_right)
                 )
+                self._access_paths += (from_left, from_right)
         self._nodes = [runtime[node.index] for node in plan.nodes]
-        self._leaves = [
-            runtime[node.index]
-            for node in plan.nodes
-            if isinstance(node, SharedLeaf)
-        ]
-        self._states: List[_QueryState] = []
-        for root in plan.roots:
-            state = _QueryState(root, self._held)
-            runtime[root.node.index].states.append(state)
-            self._states.append(state)
-        # The watermark gate uses the shortest window (a query's window
-        # is its root node's): its cutoff is the latest, so while it has
-        # not passed the watermark nothing with any window can expire.
-        self._shortest_window = min(node.spec.window for node in self._nodes)
+        self._stores = [node.store for node in self._nodes]
+        for query_root, root in zip(plan.roots, self._roots):
+            if any(k != v for k, v in query_root.rename.items()):
+                root.rename = dict(query_root.rename)
+            runtime[query_root.node.index].roots.append(root)
+        self._place_owners()
+        self._leaves_by_type: Dict[str, List[_RuntimeNode]] = {}
+        for node in self._nodes:
+            if isinstance(node.spec, SharedLeaf):
+                self._leaves_by_type.setdefault(
+                    node.spec.event_type, []
+                ).append(node)
         if compiled:
-            self._compile_kernels()
+            self._recompile_kernels()
 
-    def _compile_kernels(self) -> None:
+    # -- construction --------------------------------------------------------
+    def _place_owners(self) -> None:
+        """Find each node's single reading root, hand it the root's
+        consumed set and stores, and place bounded negation specs at the
+        lowest owned node covering them (Section 5.3)."""
+        for node in reversed(self._nodes):  # parents before children
+            if len(node.roots) + len(node.parents) != 1:
+                continue
+            if node.roots:
+                node.owner = node.roots[0]
+                node.identity = node.owner.rename is None
+            else:
+                edge = node.parents[0]
+                node.owner = edge.parent.owner
+                node.identity = edge.parent.identity and all(
+                    k == v for k, v in edge.my_map.items()
+                )
+        for node in self._nodes:
+            root = node.owner
+            if root is not None:
+                node.consumed = root.consumed
+                root.stores.append(node.store)
+            elif self._consuming:
+                raise EngineError(
+                    f"selection {self.selection!r} consumes events per "
+                    "root, so every DAG node must be private to one root"
+                )
+        for root in self._roots:
+            for prepared in root.checker.prepared:
+                if prepared.trailing or not prepared.spec.preceding:
+                    continue  # pending set / leading NOT: at completion
+                covering = [
+                    node
+                    for node in self._nodes
+                    if node.owner is root
+                    and node.identity
+                    and prepared.required <= set(node.spec.variables)
+                ]
+                if covering:
+                    lowest = min(
+                        covering, key=lambda n: len(n.spec.variables)
+                    )
+                    lowest.negation.append(prepared)
+                else:
+                    root.checks.append(prepared)
+
+    def _recompile_kernels(self) -> None:
         """Fuse leaf filters and every edge's access-path predicate lists
         into compiled kernels, DAG renamings resolved at compile time."""
-        for leaf in self._leaves:
-            spec = leaf.spec
-            if spec.filters:
-                leaf.admit_kernel = compile_event_kernel(
+        tracker, keys = self._sel_tracker, self._sel_key_by_pred
+        for node in self._nodes:
+            spec = node.spec
+            if isinstance(spec, SharedLeaf) and spec.filters:
+                node.admit_kernel = compile_event_kernel(
                     spec.filters,
                     spec.variable,
                     self.metrics,
                     count="all",
+                    tracker=tracker,
+                    sel_key_by_pred=keys,
                     codegen=self.codegen,
                 )
-        for node in self._nodes:
             for edge in node.parents:
-                edge.path.compile()
-
-    # -- plan-DAG tracing ----------------------------------------------------
-    def set_tracer(self, tracer) -> None:
-        """Attach (or detach, with ``None``) a
-        :class:`~repro.observe.trace.Tracer`.  Tracing only counts and
-        times — the per-query match lists are byte-identical either way
-        (asserted by the equivalence tests)."""
-        self._tracer = tracer
-        self._register_trace_nodes()
+                edge.path.compile(tracker, keys)
 
     def _register_trace_nodes(self) -> None:
-        """One :class:`~repro.observe.trace.NodeStat` per shared node."""
+        """One :class:`~repro.observe.trace.NodeStat` per DAG node."""
         tracer = self._tracer
         if tracer is None:
             for node in self._nodes:
                 node.tstat = None
+            self._expiry_stats = None
             return
         for node in self._nodes:
             spec = node.spec
@@ -310,86 +295,74 @@ class MultiQueryEngine:
                 )
                 label = "join(" + ",".join(variables) + ")"
                 kind = "join"
-            node.tstat = tracer.register_node(label, kind, engine="multiquery")
+            node.tstat = tracer.register_node(label, kind, engine="dag")
+        self._expiry_stats = [node.tstat for node in self._nodes]
 
-    # -- public API ---------------------------------------------------------
-    def process(self, event: Event) -> List[Match]:
-        """Feed one event; return the matches it completed, all queries."""
-        self.metrics.events_processed += 1
-        self._event_wall_started = time.perf_counter()
-        self._now = now = event.timestamp
-
-        tracing = self._tracer is not None
-        matches: List[Match] = []
-        held = self._held
-        if now - self._shortest_window > held.oldest:
-            held.oldest = float("inf")  # each expire / prune re-reports
-            if not tracing:
-                for node in self._nodes:
-                    node.store.expire(now - node.spec.window)
-            else:
-                for node in self._nodes:
-                    node.tstat.expired += node.store.expire(
-                        now - node.spec.window
-                    )
-            for state in self._states:
-                state.checker.prune(now - state.window)
-        if held.pending:
-            for state in self._states:
-                if state.checker.pending:
-                    matches.extend(
-                        state.checker.release(now, partial(self._emit, state))
-                    )
-        for state in self._states:
-            if state.checker.active:
-                state.checker.offer_against(event)
-
-        queue: List[Tuple[PartialMatch, _RuntimeNode]] = []
-        for leaf in self._leaves:
-            spec = leaf.spec
-            if event.type != spec.event_type:
+    # -- event loop ------------------------------------------------------------
+    def _admit(self, event: Event) -> List[_RuntimeNode]:
+        """Type + unary-filter admission (leaf stores are the buffers)."""
+        leaves = self._leaves_by_type.get(event.type)
+        if leaves is None:
+            return []
+        admitted = []
+        for leaf in leaves:
+            kernel = leaf.admit_kernel
+            if kernel is not None:
+                if not kernel(event):
+                    continue
+            elif leaf.spec.filters:
+                variable, filters = leaf.spec.variable, leaf.spec.filters
+                self.metrics.predicate_evaluations += len(filters)
+                for p in filters:
+                    passed = p.evaluate({variable: event})
+                    if self._sel_tracker is not None:
+                        self._observe_predicate(p, passed)
+                    if not passed:
+                        break
+                else:
+                    admitted.append(leaf)
                 continue
-            if leaf.admit_kernel is not None:
-                if not leaf.admit_kernel(event):
-                    continue
-            elif spec.filters:
-                self.metrics.predicate_evaluations += len(spec.filters)
-                if not all(
-                    p.evaluate({spec.variable: event}) for p in spec.filters
-                ):
-                    continue
+            admitted.append(leaf)
+        return admitted
+
+    def _arrive(
+        self, event: Event, admitted: List[_RuntimeNode]
+    ) -> List[Match]:
+        tracing = self._tracer is not None
+        queue: List[Tuple[PartialMatch, _RuntimeNode]] = []
+        for leaf in admitted:
             if tracing:
                 leaf.tstat.events += 1
-            if spec.kleene:
+            if event.seq in leaf.consumed:
+                continue
+            variable = leaf.spec.variable
+            if leaf.spec.kleene:
                 queue.append(
-                    (PartialMatch.kleene_singleton(spec.variable, event), leaf)
+                    (PartialMatch.kleene_singleton(variable, event), leaf)
                 )
-                queue.extend(self._absorptions(leaf, event))
+                if not self._consuming:
+                    queue.extend(self._absorptions(leaf, event))
             else:
-                queue.append(
-                    (PartialMatch.singleton(spec.variable, event), leaf)
-                )
+                queue.append((PartialMatch.singleton(variable, event), leaf))
+        return self._cascade(queue)
 
-        matches.extend(self._cascade(queue))
-        self.metrics.note_state(
-            held.partial_matches + held.pending, held.events
-        )
-        return matches
-
-    def run(self, stream: Stream) -> Dict[str, List[Match]]:
-        """Process a whole stream; per-query match lists, keyed by name."""
-        matches: List[Match] = []
-        for event in stream:
-            matches.extend(self.process(event))
-        matches.extend(self.finalize())
-        return group_by_query(self.plan.query_names, matches)
-
-    def finalize(self) -> List[Match]:
-        """Flush pending (trailing-negation) matches of every query."""
-        matches: List[Match] = []
-        for state in self._states:
-            matches.extend(state.finalize(self))
-        return matches
+    def _absorptions(
+        self, leaf: _RuntimeNode, event: Event
+    ) -> List[Tuple[PartialMatch, _RuntimeNode]]:
+        """Grow the Kleene tuples buffered at a leaf with the arriving
+        event (admission already applied the leaf's filters to it)."""
+        variable = leaf.spec.variable
+        limit = self.max_kleene_size
+        created: List[Tuple[PartialMatch, _RuntimeNode]] = []
+        for pm in leaf.store:
+            if limit is not None and len(pm.bindings[variable]) >= limit:
+                continue
+            if pm.contains_seq(event.seq):
+                continue
+            if not pm.span_with(event, leaf.window):
+                continue
+            created.append((pm.kleene_extended(variable, event), leaf))
+        return created
 
     # -- cascade ------------------------------------------------------------
     def _cascade(
@@ -398,13 +371,18 @@ class MultiQueryEngine:
         matches: List[Match] = []
         queue = list(seed)
         tracing = self._tracer is not None
+        metrics = self.metrics
         while queue:
             pm, node = queue.pop()
-            self.metrics.partial_matches_created += 1
+            metrics.partial_matches_created += 1
             if tracing:
                 node.tstat.created += 1
-            for state in node.states:
-                match = state.complete(pm, self._now, self)
+            if node.negation:
+                violated = node.owner.checker.violated
+                if any(violated(prepared, pm) for prepared in node.negation):
+                    continue
+            for root in node.roots:
+                match = self._complete(root, pm)
                 if match is not None:
                     matches.append(match)
                     if tracing:
@@ -439,149 +417,83 @@ class MultiQueryEngine:
         created: List[Tuple[PartialMatch, _RuntimeNode]] = []
         parent = edge.parent
         for other in candidates:
-            merged = self._try_merge(
-                pm,
-                edge.my_map,
-                other,
-                edge.other_map,
-                parent,
-                predicates,
-                kernel,
-            )
+            merged = self._try_merge(pm, other, edge, predicates, kernel)
             if merged is not None:
                 created.append((merged, parent))
+                if self._consuming:
+                    break  # restrictive strategies: first pairing only
         return created
 
     def _try_merge(
         self,
         pm: PartialMatch,
-        my_map: dict,
         other: PartialMatch,
-        other_map: dict,
-        parent: _RuntimeNode,
+        edge: _Edge,
         predicates,
         kernel,
     ) -> Optional[PartialMatch]:
+        parent = edge.parent
         if parent.overlap and pm.event_seqs() & other.event_seqs():
             return None
         min_ts = min(pm.min_ts, other.min_ts)
         max_ts = max(pm.max_ts, other.max_ts)
-        if max_ts - min_ts > parent.spec.window:
+        if max_ts - min_ts > parent.window:
+            return None
+        consumed = parent.consumed
+        if consumed and (
+            pm.event_seqs() & consumed or other.event_seqs() & consumed
+        ):
             return None
         if kernel is not INTERPRET:
             # Compiled: evaluate over the two child bindings (renamings
-            # resolved at compile time) and build the parent-namespace
-            # dict only for survivors.
+            # resolved at compile time) and merge only on success.
             if kernel is not None and not kernel(pm.bindings, other.bindings):
                 return None
-        bindings = {my_map[k]: v for k, v in pm.bindings.items()}
-        for k, v in other.bindings.items():
-            bindings[other_map[k]] = v
-        merged = PartialMatch(
-            bindings,
-            max(pm.trigger_seq, other.trigger_seq),
-            min_ts,
-            max_ts,
-        )
+        trigger_seq = max(pm.trigger_seq, other.trigger_seq)
+        if edge.identity:
+            merged = pm.merged(other, trigger_seq)
+        else:
+            my_map, other_map = edge.my_map, edge.other_map
+            bindings = {my_map[k]: v for k, v in pm.bindings.items()}
+            for k, v in other.bindings.items():
+                bindings[other_map[k]] = v
+            merged = PartialMatch(bindings, trigger_seq, min_ts, max_ts)
         if kernel is not INTERPRET:
             return merged
         for predicate in predicates:
             self.metrics.predicate_evaluations += 1
-            if not predicate.evaluate(merged.bindings):
+            passed = predicate.evaluate(merged.bindings)
+            if self._sel_tracker is not None:
+                self._observe_predicate(predicate, passed)
+            if not passed:
                 return None
         return merged
 
-    def _absorptions(
-        self, leaf: _RuntimeNode, event: Event
-    ) -> List[Tuple[PartialMatch, _RuntimeNode]]:
-        """Grow Kleene tuples buffered at a shared leaf."""
-        spec = leaf.spec
-        limit = self.max_kleene_size
-        created: List[Tuple[PartialMatch, _RuntimeNode]] = []
-        for pm in leaf.store:
-            value = pm.bindings[spec.variable]
-            if limit is not None and len(value) >= limit:
-                continue
-            if pm.contains_seq(event.seq):
-                continue
-            if not pm.span_with(event, spec.window):
-                continue
-            created.append((pm.kleene_extended(spec.variable, event), leaf))
-        return created
-
-    # -- accounting ----------------------------------------------------------
-    def _emit(
-        self, state: _QueryState, qpm: PartialMatch, detection_ts: float
-    ) -> Match:
-        wall = time.perf_counter() - self._event_wall_started
-        match = Match(
-            qpm,
-            detection_ts,
-            pattern_name=state.query,
-            wall_latency=wall,
-        )
-        state.matches_emitted += 1
-        self.metrics.note_match(match.latency, wall)
-        return match
-
-    def live_partial_matches(self) -> int:
-        return self._held.partial_matches
-
-    # -- retraction deltas (repro.streams.disorder) --------------------------
-    @property
-    def selection(self) -> str:
-        """Skip-till-any-match, always — the only supported strategy."""
-        return "any"
-
-    @property
-    def window(self) -> float:
-        """Largest query window: how far one event's influence reaches."""
-        return max(state.window for state in self._states)
-
-    def negation_event_types(self) -> frozenset:
-        """Event types any query's negation specs forbid (delta routing)."""
-        return frozenset(
-            prepared.spec.event_type
-            for state in self._states
-            for prepared in state.checker.prepared
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({len(self._roots)} roots, "
+            f"{len(self._nodes)} DAG nodes, selection={self.selection!r})"
         )
 
-    def retract_seq(self, seq: int) -> None:
-        """Remove every trace of the event with sequence number ``seq``.
 
-        Tombstones instances binding it at every shared node, evicts it
-        from every query's negation candidate buffers, and kills pending
-        matches built on it — the multi-query counterpart of
-        :meth:`~repro.engines.base.BaseEngine.retract_seq`, with the
-        same exactness contract (any-selection, non-negation-relevant
-        events; everything else replays).
-        """
-        seqs = frozenset((seq,))
-        for node in self._nodes:
-            node.store.purge_seqs(seqs)
-        for state in self._states:
-            checker = state.checker
-            checker.retract(seq)
-            if checker.pending:
-                checker.keep_pending(
-                    [e for e in checker.pending if not e.pm.contains_seq(seq)]
-                )
-        self.metrics.retractions_processed += 1
+class MultiQueryEngine(DagEngine):
+    """Executes a workload's shared plan over a single stream.
+
+    ``run`` returns a mapping from query name to that query's matches;
+    ``process`` returns the flat per-event match list (each
+    :class:`Match` carries its query in ``pattern_name``).
+    """
+
+    def run(self, stream: Stream) -> Dict[str, List[Match]]:
+        """Process a whole stream; per-query match lists, keyed by name."""
+        return group_by_query(self.plan.query_names, super().run(stream))
 
     def per_query_matches(self) -> Dict[str, int]:
         """Matches emitted so far, by query name."""
         counts: Dict[str, int] = {}
-        for state in self._states:
-            counts[state.query] = (
-                counts.get(state.query, 0) + state.matches_emitted
-            )
+        for root in self._roots:
+            counts[root.name] = counts.get(root.name, 0) + root.matches
         return counts
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiQueryEngine({len(self.plan.query_names)} queries, "
-            f"{len(self._nodes)} DAG nodes)"
-        )
 
 
 @dataclass

@@ -22,17 +22,21 @@ is too much worse than the private one.
 Node resolution is top-down with memoization, so when a whole subtree
 is adopted from another query, none of its private interior nodes are
 ever materialized — no orphan work in the DAG.
+
+:func:`lower_plans` is the engine factory's entry: it turns one
+pattern's plans — a tree plan, or the DNF disjuncts of a disjunction —
+into the same kind of DAG, one root per plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cost.base import CostModel
 from ..cost.throughput import ThroughputCostModel
 from ..errors import PlanError
-from ..optimizers.planner import PlannedPattern
+from ..optimizers.planner import Plan, PlannedPattern
 from ..patterns.predicates import Predicate
 from ..patterns.transformations import DecomposedPattern
 from ..plans.order_plan import OrderPlan
@@ -292,11 +296,7 @@ class SharedPlanOptimizer:
         restrictive strategies consume events per query, which
         invalidates cross-query sharing of partial matches.
         """
-        registry: Dict[Fingerprint, SharedNode] = {}
-        nodes: List[SharedNode] = []
-        roots: List[QueryRoot] = []
-        report = SharingReport(queries=len(planned))
-
+        entries = []
         for query_name, items in planned:
             if not items:
                 raise PlanError(f"query {query_name!r} has no planned patterns")
@@ -306,49 +306,53 @@ class SharedPlanOptimizer:
                         "multi-query sharing requires selection='any' "
                         f"(query {query_name!r} uses {item.selection!r})"
                     )
-                tree = self._as_tree(item)
-                report.subtrees_total += sum(
-                    1 for _ in tree.root.nodes_postorder()
-                )
-                report.independent_cost += self.cost_model.tree_cost(
-                    tree, item.stats
-                )
-                node, order = self._resolve(
-                    tree.root,
-                    item.decomposed,
-                    item.stats,
-                    query_name,
-                    registry,
-                    nodes,
-                    report,
-                )
-                rename = dict(zip(node.canonical_order, order))
-                roots.append(
-                    QueryRoot(
-                        query=query_name,
-                        disjunct=item.pattern.name,
-                        node=node,
-                        rename=rename,
-                        decomposed=item.decomposed,
-                        stats=item.stats,
+                entries.append(
+                    (
+                        query_name,
+                        item.pattern.name,
+                        item.decomposed,
+                        _as_tree(item.plan),
+                        item.stats,
                     )
                 )
+        return self._merge(entries, len(planned))
 
+    # -- internals -----------------------------------------------------------
+    def _merge(self, entries, queries: int) -> SharedPlan:
+        """One root per ``(query, disjunct, decomposed, tree, stats)``
+        entry; ``stats=None`` skips the entry's cost pricing."""
+        registry: Dict[Fingerprint, SharedNode] = {}
+        nodes: List[SharedNode] = []
+        roots: List[QueryRoot] = []
+        report = SharingReport(queries=queries)
+        for query_name, disjunct, decomposed, tree, stats in entries:
+            report.subtrees_total += sum(1 for _ in tree.root.nodes_postorder())
+            if stats is not None:
+                report.independent_cost += self.cost_model.tree_cost(
+                    tree, stats
+                )
+            node, order = self._resolve(
+                tree.root,
+                decomposed,
+                stats,
+                query_name,
+                registry,
+                nodes,
+                report,
+            )
+            roots.append(
+                QueryRoot(
+                    query=query_name,
+                    disjunct=disjunct,
+                    node=node,
+                    rename=dict(zip(node.canonical_order, order)),
+                    decomposed=decomposed,
+                    stats=stats,
+                )
+            )
         report.dag_nodes = len(nodes)
         report.shared_nodes = sum(1 for n in nodes if n.is_shared)
         return SharedPlan(nodes, roots, report)
-
-    # -- internals -----------------------------------------------------------
-    @staticmethod
-    def _as_tree(item: PlannedPattern) -> TreePlan:
-        if isinstance(item.plan, TreePlan):
-            return item.plan
-        if isinstance(item.plan, OrderPlan):
-            return TreePlan.left_deep(item.plan)
-        raise PlanError(
-            f"unsupported plan type {type(item.plan).__name__} for "
-            "multi-query sharing"
-        )
 
     def _resolve(
         self,
@@ -392,7 +396,10 @@ class SharedPlanOptimizer:
                 kleene=variable in decomposed.kleene,
                 window=decomposed.window,
             )
-            report.shared_cost += self.cost_model.leaf_cost(variable, stats)
+            if stats is not None:
+                report.shared_cost += self.cost_model.leaf_cost(
+                    variable, stats
+                )
         else:
             left, left_order = self._resolve(
                 tree_node.left, decomposed, stats, query, registry, nodes, report
@@ -407,15 +414,6 @@ class SharedPlanOptimizer:
             right_map = dict(zip(right.canonical_order, right_order))
             left_vars = frozenset(tree_node.left.leaf_variables)
             right_vars = frozenset(tree_node.right.leaf_variables)
-            cross = tuple(
-                p
-                for p in decomposed.conditions
-                if len(p.variables) == 2
-                and (
-                    (p.variables[0] in left_vars and p.variables[1] in right_vars)
-                    or (p.variables[0] in right_vars and p.variables[1] in left_vars)
-                )
-            )
             node = SharedJoin(
                 index=len(nodes),
                 fingerprint=fingerprint,
@@ -425,13 +423,16 @@ class SharedPlanOptimizer:
                 right=right,
                 left_map=left_map,
                 right_map=right_map,
-                cross_predicates=cross,
+                cross_predicates=_cross_predicates(
+                    decomposed, left_vars, right_vars
+                ),
             )
             left.parents.append((node, "left"))
             right.parents.append((node, "right"))
-            report.shared_cost += self.cost_model.combine_cost(
-                left_vars, right_vars, stats
-            )
+            if stats is not None:
+                report.shared_cost += self.cost_model.combine_cost(
+                    left_vars, right_vars, stats
+                )
         node.queries.append(query)
         nodes.append(node)
         # First materialization wins the registry slot; vetoed or
@@ -439,3 +440,118 @@ class SharedPlanOptimizer:
         # twice, so later queries keep merging with the original).
         registry.setdefault(fingerprint, node)
         return node, order
+
+
+def _as_tree(plan: Plan) -> TreePlan:
+    """A tree plan as is; an order plan as its left-deep tree."""
+    if isinstance(plan, TreePlan):
+        return plan
+    if isinstance(plan, OrderPlan):
+        return TreePlan.left_deep(plan)
+    raise PlanError(
+        f"unsupported plan type {type(plan).__name__} for the plan DAG"
+    )
+
+
+def _cross_predicates(
+    decomposed: DecomposedPattern, left_vars, right_vars
+) -> Tuple[Predicate, ...]:
+    """The pattern's two-variable predicates joining the two sides."""
+    return tuple(
+        p
+        for p in decomposed.conditions
+        if len(p.variables) == 2
+        and (
+            (p.variables[0] in left_vars and p.variables[1] in right_vars)
+            or (p.variables[0] in right_vars and p.variables[1] in left_vars)
+        )
+    )
+
+
+def _private_tree(
+    name: Optional[str],
+    decomposed: DecomposedPattern,
+    tree: TreePlan,
+    nodes: List[SharedNode],
+) -> SharedNode:
+    """Append a private copy of ``tree`` to ``nodes``; return its root.
+
+    Leaves come first, in the pattern's variable order — the order an
+    event admitted for several variables seeds its instances — then the
+    joins bottom-up.  Every renaming is the identity.
+    """
+    window = decomposed.window
+    leaves: Dict[str, SharedNode] = {}
+    for variable, event_type in decomposed.positives:
+        leaves[variable] = SharedLeaf(
+            index=len(nodes),
+            fingerprint=None,
+            variable=variable,
+            event_type=event_type,
+            filters=tuple(decomposed.conditions.filters_for(variable)),
+            kleene=variable in decomposed.kleene,
+            window=window,
+        )
+        nodes.append(leaves[variable])
+
+    def walk(tree_node: TreeNode) -> SharedNode:
+        if tree_node.is_leaf:
+            node = leaves[tree_node.variable]
+        else:
+            left, right = walk(tree_node.left), walk(tree_node.right)
+            node = SharedJoin(
+                index=len(nodes),
+                fingerprint=None,
+                canonical_order=tuple(tree_node.leaf_variables),
+                window=window,
+                left=left,
+                right=right,
+                left_map={v: v for v in left.variables},
+                right_map={v: v for v in right.variables},
+                cross_predicates=_cross_predicates(
+                    decomposed, left.variables, right.variables
+                ),
+            )
+            left.parents.append((node, "left"))
+            right.parents.append((node, "right"))
+            nodes.append(node)
+        node.queries.append(name)
+        return node
+
+    return walk(tree.root)
+
+
+def lower_plans(
+    parts: Sequence[Tuple[Optional[str], DecomposedPattern, Plan]],
+    sharing: bool = False,
+) -> SharedPlan:
+    """Lower planned patterns to one DAG with a root per part.
+
+    Each ``(name, decomposed, plan)`` part — a tree plan, or an order
+    plan taken as its left-deep tree — becomes a root reporting under
+    ``name``.  With ``sharing`` the parts merge equivalent sub-joins
+    through :class:`SharedPlanOptimizer`, exactly as a workload's
+    queries do (the DNF disjuncts of one pattern are such a set);
+    without it each part keeps a private copy of its tree, walked
+    straight from the plan — no fingerprints, no cost pricing.
+    """
+    lowered = []
+    for name, decomposed, plan in parts:
+        tree = _as_tree(plan)
+        tree.validate_for(decomposed)
+        lowered.append((name, decomposed, tree))
+    if sharing:
+        return SharedPlanOptimizer()._merge(
+            [(name, name, d, tree, None) for name, d, tree in lowered],
+            len(lowered),
+        )
+    nodes: List[SharedNode] = []
+    roots: List[QueryRoot] = []
+    for name, decomposed, tree in lowered:
+        node = _private_tree(name, decomposed, tree, nodes)
+        rename = {v: v for v in node.variables}
+        roots.append(QueryRoot(name, name, node, rename, decomposed, None))
+    report = SharingReport(
+        queries=len(roots), subtrees_total=len(nodes), dag_nodes=len(nodes)
+    )
+    return SharedPlan(nodes, roots, report)

@@ -16,11 +16,12 @@ Kleene flags, the predicates among them, and the time window) that is
 invariant under variable renaming.
 
 Soundness of fingerprint-based merging rests on an invariant of the
-instance-based tree runtime (:mod:`repro.engines.tree`): the store of a
-plan node with leaf set ``V`` contains exactly the bindings over ``V``
-that satisfy *every* pattern predicate restricted to ``V`` and fit the
-window — independent of the node's interior join shape.  The
-fingerprint captures precisely those ingredients, expressed over
+instance-based plan-DAG runtime (:mod:`repro.multiquery.executor`):
+the store of a plan node with leaf set ``V`` contains exactly the
+bindings over ``V`` that satisfy *every* pattern predicate restricted
+to ``V`` and fit the window — independent of the node's interior join
+shape.  (Negation checks only ever sit on nodes a single root reads.)
+The fingerprint captures precisely those ingredients, expressed over
 canonical variable indices, so **equal fingerprints imply identical
 stores**: two sub-patterns with the same fingerprint are literally the
 same canonical structure, and the index-to-index correspondence is a

@@ -146,9 +146,7 @@ class MetricsRegistry:
         """All sources folded into one (concurrent disjoint shards)."""
         merged = EngineMetrics()
         for _, metrics in self._collect():
-            merged = merged.merge(
-                metrics, disjoint_streams=True, concurrent=True
-            )
+            merged = merged.merge(metrics, concurrent=True)
         return merged
 
     # -- JSON export ---------------------------------------------------------

@@ -79,9 +79,7 @@ def poll_live(host: str, port: int, timeout: float = 10.0) -> dict:
             {"worker_id": snap["worker_id"], "epoch": snap["epoch"]}
         )
         if snap.get("metrics") is not None:
-            merged = merged.merge(
-                snap["metrics"], disjoint_streams=True, concurrent=True
-            )
+            merged = merged.merge(snap["metrics"], concurrent=True)
         if snap.get("nodes"):
             nodes.extend(snap["nodes"])
     return {

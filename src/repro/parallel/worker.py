@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engines.factory import DisjunctionEngine, build_engine_from_parts
+from ..engines.factory import build_engine_from_parts
 from ..engines.matches import Match
 from ..engines.metrics import EngineMetrics
 from ..engines.snapshot import EngineSnapshot
@@ -40,7 +40,8 @@ from .partitioners import slice_delivery_bounds, slice_owner_bounds
 
 @dataclass
 class EngineSpec:
-    """Ship format for a single-pattern runtime (possibly a disjunction).
+    """Ship format for a single-pattern runtime (possibly a disjunction,
+    which the worker lowers to one multi-root plan DAG).
 
     One entry in ``parts`` per DNF disjunct: the decomposed pattern
     (pickled as data) plus the :func:`repro.plans.planned_to_dict`
@@ -81,22 +82,13 @@ class EngineSpec:
                     f"worker spec carries plan schema {schema!r}; this "
                     f"runtime reads schema {PLAN_SCHEMA_VERSION}"
                 )
-        engines = [
-            build_engine_from_parts(
-                part["decomposed"],
-                part["planned"]["plan"],
-                selection=part["planned"]["selection"],
-                pattern_name=part["planned"]["pattern_name"],
-                max_kleene_size=self.max_kleene_size,
-                indexed=self.indexed,
-                compiled=self.compiled,
-                codegen=self.codegen,
-            )
-            for part in self.parts
-        ]
-        if len(engines) == 1:
-            return engines[0]
-        return DisjunctionEngine(engines)
+        return build_engine_from_parts(
+            self.parts,
+            max_kleene_size=self.max_kleene_size,
+            indexed=self.indexed,
+            compiled=self.compiled,
+            codegen=self.codegen,
+        )
 
 
 @dataclass
@@ -224,19 +216,7 @@ class TaskRunner:
         if self._engines or self._fed:
             raise ParallelError("seed must precede the first batch")
         engine = self.task.spec.build()
-        if isinstance(engine, DisjunctionEngine):
-            engine.seed_from(
-                [
-                    EngineSnapshot(events, now, sub.window)
-                    for sub in engine.engines
-                ]
-            )
-        elif hasattr(engine, "seed_from"):
-            engine.seed_from(EngineSnapshot(events, now, engine.window))
-        else:
-            raise ParallelError(
-                "this worker's engine cannot be reseeded from a snapshot"
-            )
+        engine.seed_from(EngineSnapshot(events, now, engine.window))
         if self._tracer is not None:
             engine.set_tracer(self._tracer)
         self._engines[0] = engine
@@ -251,7 +231,7 @@ class TaskRunner:
         """
         metrics = self._retired
         for engine in self._engines.values():
-            metrics = metrics.merge(engine.metrics, disjoint_streams=True)
+            metrics = metrics.merge(engine.metrics)
         nodes = (
             self._tracer.node_dicts() if self._tracer is not None else None
         )
@@ -357,9 +337,7 @@ class TaskRunner:
         engine = self._engines.pop(key)
         self._delivery_hi.pop(key, None)
         self._collect(key, engine.finalize())
-        self._retired = self._retired.merge(
-            engine.metrics, disjoint_streams=True
-        )
+        self._retired = self._retired.merge(engine.metrics)
 
     def _collect(self, key: int, out: List[Match]) -> None:
         if not out:

@@ -149,7 +149,7 @@ def merge_worker_snapshots(snapshots: Sequence[dict]) -> dict:
         worker_metrics = snapshot.get("metrics")
         if worker_metrics is not None:
             base = EngineMetrics() if metrics is None else metrics
-            metrics = base.merge(worker_metrics, disjoint_streams=True)
+            metrics = base.merge(worker_metrics)
         if snapshot.get("nodes"):
             node_dicts.extend(snapshot["nodes"])
     nodes = None
@@ -1256,7 +1256,7 @@ class SessionStream:
         metrics = EngineMetrics()
         flat: list = []
         for result in results:
-            metrics = metrics.merge(result.metrics, disjoint_streams=True)
+            metrics = metrics.merge(result.metrics)
             flat.extend(result.matches)
         metrics.worker_count = self._pool.workers
         metrics.events_routed = self.events_routed

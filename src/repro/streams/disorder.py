@@ -415,13 +415,11 @@ class DeltaEngine:
         work shows up in ``events_processed`` as honest correction cost.
         """
         return self._retired.merge(
-            self._engine.metrics, disjoint_streams=True, concurrent=False
-        ).merge(self._extra, disjoint_streams=True, concurrent=False)
+            self._engine.metrics, concurrent=False
+        ).merge(self._extra, concurrent=False)
 
     def _retire(self, engine) -> None:
-        self._retired = self._retired.merge(
-            engine.metrics, disjoint_streams=True, concurrent=False
-        )
+        self._retired = self._retired.merge(engine.metrics, concurrent=False)
 
     # -- ingestion -----------------------------------------------------------
     def process(self, item: Union[Event, Retraction, Update]) -> List:

@@ -1,10 +1,10 @@
 """Hand-written field-by-field ``EngineMetrics.merge``, kept as an oracle.
 
 :meth:`repro.engines.metrics.EngineMetrics.merge` is one loop over the
-declared :data:`repro.engines.instruments.INSTRUMENTS` merge rules; this
+declared :data:`repro.engines.instruments.INSTRUMENTS` kinds; this
 is the explicit constructor it replaced.  ``test_engine_components``
-checks the two agree field by field on random metrics under all four
-``(disjoint_streams, concurrent)`` combinations.
+checks the two agree field by field on random metrics under both
+``concurrent`` modes.
 """
 
 from __future__ import annotations
@@ -15,15 +15,10 @@ from repro.engines.metrics import EngineMetrics
 def merge_oracle(
     self: EngineMetrics,
     other: EngineMetrics,
-    disjoint_streams: bool = False,
     concurrent: bool = True,
 ) -> EngineMetrics:
     merged = EngineMetrics(
-        events_processed=(
-            self.events_processed + other.events_processed
-            if disjoint_streams
-            else max(self.events_processed, other.events_processed)
-        ),
+        events_processed=self.events_processed + other.events_processed,
         matches_emitted=self.matches_emitted + other.matches_emitted,
         partial_matches_created=(
             self.partial_matches_created + other.partial_matches_created

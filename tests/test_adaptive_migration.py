@@ -54,6 +54,11 @@ WORKLOADS = [
         "and-not",
         "PATTERN AND(A a, C c, NOT(D d)) WITHIN 1.5",
     ),
+    (
+        "disjunction",
+        "PATTERN OR(SEQ(A a, B b, C c), SEQ(B e, C f)) "
+        "WHERE a.k = c.k WITHIN 1.5",
+    ),
 ]
 
 #: (runtime id, initial algorithm, algorithms forced at the switches).

@@ -137,7 +137,7 @@ class TestEngineMetrics:
         assert merged.matches_emitted == 1
         assert merged.peak_partial_matches == 6
         assert merged.peak_memory_units == 13
-        assert merged.events_processed == 10
+        assert merged.events_processed == 20
 
     def test_summary_keys(self):
         summary = EngineMetrics().summary()
@@ -165,9 +165,7 @@ class TestEngineMetrics:
         assert merged.range_probes == 15
         assert merged.range_hits == 8
         assert merged.predicate_kernel_calls == 140
-        sequential = first.merge(
-            second, disjoint_streams=True, concurrent=False
-        )
+        sequential = first.merge(second, concurrent=False)
         # Counters add under the sequential (peak-max) rule too.
         assert sequential.range_probes == 15
         assert sequential.predicate_kernel_calls == 140
@@ -196,7 +194,7 @@ class TestEngineMetrics:
         first.note_state(4, 6)
         second = EngineMetrics(events_processed=5)
         second.note_state(2, 9)
-        merged = first.merge(second, disjoint_streams=True, concurrent=False)
+        merged = first.merge(second, concurrent=False)
         # Sequential engine generations never coexist: peaks take the
         # max, segment event counts add.
         assert merged.peak_partial_matches == 4
@@ -206,9 +204,9 @@ class TestEngineMetrics:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_declared_merge_matches_hand_written_oracle(self, data):
-        """``merge`` is one loop over the declared instrument merge
-        rules; it must agree field by field with the explicit
-        constructor it replaced, in every merge mode."""
+        """``merge`` is one loop over the declared instrument kinds;
+        it must agree field by field with the explicit constructor it
+        replaced, in every merge mode."""
         from repro.engines.instruments import INSTRUMENTS
 
         from .metrics_merge_oracle import merge_oracle
@@ -230,19 +228,18 @@ class TestEngineMetrics:
             return metrics
 
         first, second = draw_metrics(), draw_metrics()
-        for disjoint_streams in (False, True):
-            for concurrent in (False, True):
-                got = first.merge(second, disjoint_streams, concurrent)
-                want = merge_oracle(first, second, disjoint_streams, concurrent)
-                for entry in INSTRUMENTS:
-                    mine = getattr(got, entry.name)
-                    oracle = getattr(want, entry.name)
-                    if entry.kind == "histogram":
-                        mine, oracle = (
-                            [getattr(h, slot) for slot in h.__slots__]
-                            for h in (mine, oracle)
-                        )
-                    assert mine == oracle, entry.name
+        for concurrent in (False, True):
+            got = first.merge(second, concurrent)
+            want = merge_oracle(first, second, concurrent)
+            for entry in INSTRUMENTS:
+                mine = getattr(got, entry.name)
+                oracle = getattr(want, entry.name)
+                if entry.kind == "histogram":
+                    mine, oracle = (
+                        [getattr(h, slot) for slot in h.__slots__]
+                        for h in (mine, oracle)
+                    )
+                assert mine == oracle, entry.name
 
 
 class TestLatencyHistogram:
@@ -310,7 +307,7 @@ class TestLatencyHistogram:
         second.detection_latency.record(0.500)
         for kwargs in (
             {},  # concurrent (parallel workers)
-            {"disjoint_streams": True, "concurrent": False},  # sequential
+            {"concurrent": False},  # sequential
         ):
             merged = first.merge(second, **kwargs)
             assert merged.detection_latency.count == 3

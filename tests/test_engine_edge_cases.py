@@ -4,7 +4,7 @@ import pytest
 
 from repro.engines import (
     NFAEngine,
-    TreeEngine,
+    build_runtime,
     reference_match_keys,
 )
 from repro.events import Event, Stream
@@ -38,7 +38,7 @@ class TestSharedEventTypes:
             got = {m.key() for m in NFAEngine(d, order).run(stream)}
             assert got == expected
         for tree in enumerate_bushy_trees(d.positive_variables):
-            got = {m.key() for m in TreeEngine(d, tree).run(stream)}
+            got = {m.key() for m in build_runtime(d, tree).run(stream)}
             assert got == expected
 
 
@@ -107,7 +107,7 @@ class TestWindowPruning:
         stream = make_stream(13, count=500, types="AB", step_low=0.2,
                              step_high=0.4)
         d = decompose(parse_pattern("PATTERN SEQ(A a, B b) WITHIN 2"))
-        engine = TreeEngine(d, TreePlan(join("a", "b")))
+        engine = build_runtime(d, TreePlan(join("a", "b")))
         engine.run(stream)
         assert engine.metrics.peak_partial_matches < 40
 

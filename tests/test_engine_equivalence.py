@@ -14,7 +14,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engines import NFAEngine, TreeEngine, reference_match_keys
+from repro.engines import NFAEngine, build_runtime, reference_match_keys
 from repro.events import Event, Stream
 from repro.patterns import decompose, parse_pattern
 from repro.plans import enumerate_bushy_trees, enumerate_orders
@@ -58,7 +58,7 @@ def test_all_plans_agree_with_reference(stream, pattern_index):
         got = {m.key() for m in NFAEngine(d, order).run(stream)}
         assert got == expected, f"NFA {order} disagrees"
     for tree in enumerate_bushy_trees(d.positive_variables):
-        got = {m.key() for m in TreeEngine(d, tree).run(stream)}
+        got = {m.key() for m in build_runtime(d, tree).run(stream)}
         assert got == expected, f"Tree {tree} disagrees"
 
 
@@ -75,7 +75,7 @@ def test_kleene_plans_agree_with_reference(stream):
         got = {m.key() for m in engine.run(stream)}
         assert got == expected, f"NFA {order} disagrees"
     for tree in enumerate_bushy_trees(d.positive_variables):
-        engine = TreeEngine(d, tree, max_kleene_size=3)
+        engine = build_runtime(d, tree, max_kleene_size=3)
         got = {m.key() for m in engine.run(stream)}
         assert got == expected, f"Tree {tree} disagrees"
 
@@ -96,7 +96,7 @@ def test_four_variable_pattern_equivalence(stream):
         got = {m.key() for m in NFAEngine(d, order).run(stream)}
         assert got == expected
     for tree in trees:
-        got = {m.key() for m in TreeEngine(d, tree).run(stream)}
+        got = {m.key() for m in build_runtime(d, tree).run(stream)}
         assert got == expected
 
 

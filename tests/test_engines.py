@@ -6,7 +6,7 @@ from repro.engines import (
     Match,
     NFAEngine,
     OutputProfiler,
-    TreeEngine,
+    build_runtime,
     reference_match_keys,
 )
 from repro.errors import EngineError
@@ -118,7 +118,7 @@ class TestTreeBasics:
         )
         plan = TreePlan(join(join("a", "d"), join("b", "c")))
         stream = make_stream(5, count=80, types="ABCD")
-        engine = TreeEngine(d, plan)
+        engine = build_runtime(d, plan)
         matches = engine.run(stream)
         expected = reference_match_keys(d, stream)
         assert {m.key() for m in matches} == expected
@@ -126,7 +126,7 @@ class TestTreeBasics:
     def test_tree_counts_leaf_instances_as_pms(self):
         d = decompose(parse_pattern("PATTERN SEQ(A a, B b) WITHIN 5"))
         stream = Stream([Event("A", 1.0)])
-        engine = TreeEngine(d, TreePlan(join("a", "b")))
+        engine = build_runtime(d, TreePlan(join("a", "b")))
         engine.run(stream)
         assert engine.metrics.peak_partial_matches == 1
 
@@ -135,7 +135,7 @@ class TestTreeBasics:
         from repro.errors import PlanError
 
         with pytest.raises(PlanError):
-            TreeEngine(d, TreePlan(join("a", "z")))
+            build_runtime(d, TreePlan(join("a", "z")))
 
 
 class TestNegationBehaviour:
@@ -183,6 +183,39 @@ class TestNegationBehaviour:
             "PATTERN SEQ(A a, C c, NOT(B b)) WITHIN 5", stream
         )
         assert len(matches) == 1
+
+    def test_bounded_negation_checked_below_the_root(self):
+        """Section 5.3 placement: NOT(B nb) between ``a`` and ``c`` is
+        checked at the lowest node covering both — ``join(a, c)`` of the
+        plan ``((a, c), d)``, below the root — so violating instances
+        never reach the root join.  The counts are pinned to the
+        instance-based tree runtime's."""
+        import dataclasses
+
+        from repro import estimate_pattern_catalog, plan_pattern
+        from repro.engines import build_engines
+
+        pattern = parse_pattern(
+            "PATTERN SEQ(A a, NOT(B nb), C c, D d) WITHIN 4"
+        )
+        stream = make_stream(5, count=120, types="ABCD")
+        planned = plan_pattern(
+            pattern, estimate_pattern_catalog(pattern, stream),
+            algorithm="DP-B",
+        )
+        planned = [
+            dataclasses.replace(
+                planned[0], plan=TreePlan(join(join("a", "c"), "d"))
+            )
+        ]
+        engine = build_engines(planned)
+        matches = engine.run(stream)
+        assert {m.key() for m in matches} == reference_match_keys(
+            planned[0].decomposed, stream
+        )
+        assert len(matches) == 40
+        assert engine.metrics.partial_matches_created == 177
+        assert engine.metrics.peak_partial_matches == 19
 
     def test_negation_with_predicate_only_blocks_matching(self):
         stream = Stream(
@@ -279,7 +312,7 @@ class TestSelectionStrategies:
         stream = Stream(
             [Event("A", 1.0), Event("A", 1.5), Event("B", 2.0), Event("B", 2.5)]
         )
-        engine = TreeEngine(d, TreePlan(join("a", "b")), selection="next")
+        engine = build_runtime(d, TreePlan(join("a", "b")), selection="next")
         matches = engine.run(stream)
         used = [m["a"].seq for m in matches] + [m["b"].seq for m in matches]
         assert len(used) == len(set(used))

@@ -25,13 +25,12 @@ from unittest.mock import patch
 
 import pytest
 
-from repro.engines import NFAEngine, TreeEngine, reference_match_keys
+from repro.engines import NFAEngine, build_runtime, reference_match_keys
 from repro.engines import base as base_module
 from repro.engines.matches import PartialMatch
 from repro.engines.stores import Holdings
 from repro.events import Event, Stream
 from repro.multiquery import Workload, plan_workload
-from repro.multiquery import executor as executor_module
 from repro.multiquery.executor import MultiQueryEngine
 from repro.observe import Tracer
 from repro.patterns import decompose, parse_pattern
@@ -71,21 +70,15 @@ class PinnedHoldings(Holdings):
 @contextmanager
 def forced_sweeps():
     """Engines built inside sweep on every event (the oracle)."""
-    with patch.object(base_module, "Holdings", PinnedHoldings), patch.object(
-        executor_module, "Holdings", PinnedHoldings
-    ):
+    with patch.object(base_module, "Holdings", PinnedHoldings):
         yield
 
 
 def structures(engine):
     """``(stores, buffers, negation checkers)`` of any runtime."""
-    if isinstance(engine, MultiQueryEngine):
-        stores = [node.store for node in engine._nodes]
-        checkers = [state.checker for state in engine._states]
-        buffers = []
-    else:
-        stores, checkers = engine._stores, [engine._negation]
-        buffers = list(engine._buffers.values())
+    stores = engine._stores
+    checkers = [root.checker for root in engine._roots]
+    buffers = list(engine._buffers.values())
     for checker in checkers:
         buffers.extend(checker._buffers.values())
     return stores, buffers, checkers
@@ -171,7 +164,7 @@ def test_gated_sweep_matches_forced_sweep(name, text, selection, traced, seed):
     kwargs = dict(selection=selection, max_kleene_size=KLEENE_CAP)
     expired = 0
     for tree in trees:
-        gated, _ = run_pair(lambda: TreeEngine(d, tree, **kwargs), events, traced)
+        gated, _ = run_pair(lambda: build_runtime(d, tree, **kwargs), events, traced)
         expired += gated.metrics.pm_expired
     for order in orders:
         gated, _ = run_pair(lambda: NFAEngine(d, order, **kwargs), events, traced)
@@ -190,7 +183,7 @@ def test_retractions_keep_the_floor(name, text, seed):
     retract = {20, 45, 70}
     for tree in trees:
         run_pair(
-            lambda: TreeEngine(d, tree, max_kleene_size=KLEENE_CAP),
+            lambda: build_runtime(d, tree, max_kleene_size=KLEENE_CAP),
             events, traced=False, retract=retract,
         )
     for order in orders:
@@ -210,7 +203,7 @@ def test_seeded_engines_keep_the_floor(name, text, seed):
     d = decompose(parse_pattern(text))
     trees, orders = plans_of(d)
     builders = [
-        lambda: TreeEngine(d, trees[0], max_kleene_size=KLEENE_CAP),
+        lambda: build_runtime(d, trees[0], max_kleene_size=KLEENE_CAP),
         lambda: NFAEngine(d, orders[-1], max_kleene_size=KLEENE_CAP),
     ]
     for build in builders:
@@ -293,7 +286,7 @@ def test_overlapping_types_match_the_reference(text, seed):
     expected = reference_match_keys(d, stream, max_kleene_size=KLEENE_CAP)
     assert expected
     for tree in enumerate_bushy_trees(d.positive_variables):
-        engine = TreeEngine(d, tree, max_kleene_size=KLEENE_CAP)
+        engine = build_runtime(d, tree, max_kleene_size=KLEENE_CAP)
         assert {m.key() for m in engine.run(stream)} == expected
     for order in enumerate_orders(d.positive_variables):
         engine = NFAEngine(d, order, max_kleene_size=KLEENE_CAP)
@@ -323,7 +316,7 @@ def test_distinct_types_never_check_disjointness(seq_calls):
     d = decompose(parse_pattern(text))
     matched = 0
     for tree in enumerate_bushy_trees(d.positive_variables):
-        matched += len(TreeEngine(d, tree).run(stream))
+        matched += len(build_runtime(d, tree).run(stream))
     for order in enumerate_orders(d.positive_variables):
         matched += len(NFAEngine(d, order).run(stream))
     for matches in shared_engine(text, stream).run(stream).values():
@@ -336,7 +329,7 @@ def test_overlapping_types_still_check_disjointness(seq_calls):
     stream = rand_stream(SEEDS[0], count=40, types="AB")
     d = decompose(parse_pattern(OVERLAPPING[0]))
     for tree in enumerate_bushy_trees(d.positive_variables):
-        TreeEngine(d, tree).run(stream)
+        build_runtime(d, tree).run(stream)
     tree_calls = seq_calls["count"]
     for order in enumerate_orders(d.positive_variables):
         NFAEngine(d, order).run(stream)

@@ -671,7 +671,7 @@ class TestFaultCounters:
     def test_counters_add_under_concurrent_merge(self):
         a = self.build(worker_crashes=2, socket_reconnects=1, send_retries=3)
         b = self.build(worker_crashes=1, shards_degraded=1, send_retries=2)
-        merged = a.merge(b, disjoint_streams=True, concurrent=True)
+        merged = a.merge(b, concurrent=True)
         assert merged.worker_crashes == 3
         assert merged.socket_reconnects == 1
         assert merged.shards_degraded == 1

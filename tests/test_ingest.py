@@ -288,6 +288,7 @@ class TestPutMany:
                         "blocked": ingestor.blocked,
                         "events_in": ingestor.events_in,
                         "fed": [seq for frame in frames for seq in frame],
+                        "disorder_events": ingestor.disorder.events_processed,
                     }
 
         return asyncio.run(main())
@@ -299,6 +300,9 @@ class TestPutMany:
         chunked = self.ingest(policy, max_delay, chunked=True)
         assert chunked == one_by_one
         assert chunked["fed"] == list(range(chunked["events_in"]))
+        # Ingestor.metrics adds the disorder counters to the engine's:
+        # they must carry no events of their own.
+        assert chunked["disorder_events"] == 0
         if policy == "block":
             assert chunked["accepted"] == chunked["events_in"] == 300
             assert chunked["blocked"] > 0 and chunked["shed"] == 0

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from repro import build_engines, plan_pattern
-from repro.errors import PlanError
+from repro.errors import EngineError, PlanError
 from repro.multiquery import (
     MultiQueryEngine,
     SharedPlanOptimizer,
@@ -383,6 +383,14 @@ class TestEngineApi:
         stream = make_stream(5, count=40, types="ABCD")
         grouped = engine.run(stream)
         assert set(grouped) == set(plan.query_names)
+
+    def test_consuming_strategy_refuses_shared_nodes(self):
+        """Consumption is per root: a DAG whose nodes feed several roots
+        cannot run ``next``."""
+        plan = _plan(OVERLAPPING)
+        assert plan.report.shared_nodes > 0
+        with pytest.raises(EngineError):
+            MultiQueryEngine(plan, selection="next")
 
     def test_generator_produces_shareable_workload(self):
         workload = generate_overlapping_workload(

@@ -170,7 +170,7 @@ class TestLeadingNegation:
     def test_engines_agree_with_reference(self):
         from repro.engines import (
             NFAEngine,
-            TreeEngine,
+            build_runtime,
             reference_match_keys,
         )
         from repro.patterns import decompose, parse_pattern
@@ -186,5 +186,5 @@ class TestLeadingNegation:
             } == expected
         for tree in enumerate_bushy_trees(d.positive_variables):
             assert {
-                m.key() for m in TreeEngine(d, tree).run(stream)
+                m.key() for m in build_runtime(d, tree).run(stream)
             } == expected

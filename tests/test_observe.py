@@ -39,7 +39,7 @@ from repro import (
     parse_pattern,
     plan_pattern,
 )
-from repro.engines import NFAEngine, TreeEngine
+from repro.engines import NFAEngine, build_runtime
 from repro.engines.metrics import EngineMetrics
 from repro.engines.stores import NO_BOUND
 from repro.events import Event
@@ -162,14 +162,12 @@ class TestZeroCostWhenOff:
         d = decompose(parse_pattern(RANGE_PATTERN))
         tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
         order = next(iter(enumerate_orders(d.positive_variables)))
-        tree_engine = TreeEngine(d, tree, indexed=True, compiled=True)
+        tree_engine = build_runtime(d, tree, indexed=True, compiled=True)
         nfa_engine = NFAEngine(d, order, indexed=True, compiled=True)
         tree_engine.run(stream)
         nfa_engine.run(stream)
         assert nfa_engine._tstats is None
-        assert all(
-            leaf.tstat is None for leaf in tree_engine._leaf_for.values()
-        )
+        assert all(node.tstat is None for node in tree_engine._nodes)
 
     def test_detaching_tracer_restores_untraced_structure(self):
         d = decompose(parse_pattern(RANGE_PATTERN))
@@ -251,7 +249,7 @@ class TestObservationNeutrality:
         assert sum(n.matches for n in tracer.nodes) == len(matches)
 
     @pytest.mark.parametrize("compiled", [False, True])
-    @pytest.mark.parametrize("engine_cls", [NFAEngine, TreeEngine])
+    @pytest.mark.parametrize("engine_cls", [NFAEngine, build_runtime])
     def test_bisect_feedback_matches_scan_evaluation(
         self, monkeypatch, engine_cls, compiled
     ):
@@ -326,6 +324,44 @@ NFA_GOLDEN = {
 }
 
 
+#: Shared-DAG per-node NodeStat counters (NODE_COUNTERS order) on
+#: ``rand_stream(7, count=300)`` under the DP-B tree plan
+#: (``((a, b), c)`` for RANGE_PATTERN, ``(a, (b, c))`` for
+#: KEYED_PATTERN), keyed by ``(pattern, indexed)``; compiled kernels
+#: change no counter.  Taken from the instance-based tree runtime the
+#: DAG replaced, which attributed identical work to every node.
+DAG_GOLDEN = {
+    (RANGE_PATTERN, False): {
+        "a": (80, 80, 0, 75, 0, 0, 0, 0, 0),
+        "b": (83, 83, 0, 80, 0, 0, 0, 0, 0),
+        "c": (68, 68, 0, 66, 0, 0, 0, 0, 0),
+        "join(a,b)": (0, 76, 766, 70, 0, 0, 0, 0, 0),
+        "join(a,b,c)": (0, 158, 434, 0, 158, 0, 0, 0, 0),
+    },
+    (RANGE_PATTERN, True): {
+        "a": (80, 80, 0, 75, 0, 0, 0, 0, 0),
+        "b": (83, 83, 0, 80, 0, 0, 0, 0, 0),
+        "c": (68, 68, 0, 66, 0, 0, 0, 0, 0),
+        "join(a,b)": (0, 76, 141, 70, 0, 163, 154, 154, 85),
+        "join(a,b,c)": (0, 158, 158, 0, 158, 0, 0, 140, 55),
+    },
+    (KEYED_PATTERN, False): {
+        "a": (80, 80, 0, 79, 0, 0, 0, 0, 0),
+        "b": (83, 83, 0, 81, 0, 0, 0, 0, 0),
+        "c": (68, 68, 0, 67, 0, 0, 0, 0, 0),
+        "join(b,c)": (0, 47, 254, 47, 0, 0, 0, 0, 0),
+        "join(a,b,c)": (0, 10, 104, 0, 10, 0, 0, 0, 0),
+    },
+    (KEYED_PATTERN, True): {
+        "a": (80, 80, 0, 79, 0, 0, 0, 0, 0),
+        "b": (83, 83, 0, 81, 0, 0, 0, 0, 0),
+        "c": (68, 68, 0, 67, 0, 0, 0, 0, 0),
+        "join(b,c)": (0, 47, 47, 47, 0, 151, 137, 137, 33),
+        "join(a,b,c)": (0, 10, 10, 0, 10, 127, 118, 118, 10),
+    },
+}
+
+
 def node_counters(tracer: Tracer) -> dict:
     """label -> every NodeStat counter except the wall time."""
     return {
@@ -336,33 +372,29 @@ def node_counters(tracer: Tracer) -> dict:
 
 class TestNodeAttribution:
     """Exact per-node counters, not just "something was counted": the
-    tree and the single-query DAG attribute identical work to every
-    plan node, and the NFA's per-position counters are pinned."""
+    shared-DAG runtime's per-node counters are pinned for a tree plan —
+    lowered straight from the plan and merged by the workload optimizer
+    alike — and so are the NFA's per-position counters."""
 
     @pytest.mark.parametrize("indexed,compiled", ATTRIBUTION_MODES)
     @pytest.mark.parametrize("text", [RANGE_PATTERN, KEYED_PATTERN])
-    def test_tree_and_shared_dag_attribute_identically(
-        self, text, indexed, compiled
-    ):
+    def test_dag_node_counters_are_pinned(self, text, indexed, compiled):
         stream = rand_stream(7, count=300)
         pattern = parse_pattern(text)
         catalog = estimate_pattern_catalog(pattern, stream)
-        planned = plan_pattern(pattern, catalog, algorithm="DP-B")[0]
+        planned = plan_pattern(pattern, catalog, algorithm="DP-B")
         shared = plan_workload([pattern], catalog, algorithm="DP-B")
-        tree_tracer, dag_tracer = Tracer(), Tracer()
-        tree = TreeEngine(
-            planned.decomposed, planned.plan,
-            indexed=indexed, compiled=compiled,
-        )
-        tree.set_tracer(tree_tracer)
-        tree.run(stream)
+        lowered_tracer, dag_tracer = Tracer(), Tracer()
+        build_engines(
+            planned, indexed=indexed, compiled=compiled,
+            tracer=lowered_tracer,
+        ).run(stream)
         dag = MultiQueryEngine(shared, indexed=indexed, compiled=compiled)
         dag.set_tracer(dag_tracer)
         dag.run(stream)
-        tree_counts = node_counters(tree_tracer)
-        assert len(tree_counts) == 5
-        assert tree_counts == node_counters(dag_tracer)
-        assert any(counts[2] for counts in tree_counts.values())  # probed
+        golden = DAG_GOLDEN[(text, indexed)]
+        assert node_counters(lowered_tracer) == golden
+        assert node_counters(dag_tracer) == golden
 
     @pytest.mark.parametrize("indexed,compiled", ATTRIBUTION_MODES)
     @pytest.mark.parametrize("text", [RANGE_PATTERN, KEYED_PATTERN])

@@ -29,8 +29,8 @@ from repro import (
     plan_pattern,
     run_workload,
 )
-from repro.engines.factory import DisjunctionEngine
 from repro.events import Event
+from repro.multiquery import DagEngine
 from repro.parallel import (
     KeyPartitioner,
     WindowPartitioner,
@@ -107,12 +107,13 @@ class TestKeyEquivalence:
     @pytest.mark.parametrize("algorithm", RUNTIMES)
     @pytest.mark.parametrize("partitioner", ("key", "window"))
     def test_disjunction_identical_to_serial(self, algorithm, partitioner):
-        # Each worker hosts a DisjunctionEngine (one engine per DNF
-        # disjunct) and feeds it every frame event by event.
+        # Each worker hosts one plan DAG with a root per DNF disjunct
+        # and feeds it every frame event by event.
         stream = keyed_stream(31)
         planned = plans_for(DISJUNCTION, stream, algorithm)
         engine = build_engines(planned)
-        assert isinstance(engine, DisjunctionEngine)
+        assert isinstance(engine, DagEngine)
+        assert len(engine.plan.roots) == len(planned) == 2
         serial = engine.run(stream)
         assert serial
         executor = ParallelExecutor(
@@ -702,16 +703,14 @@ class TestMetricsAndPlumbing:
         for field in ("events_routed", "boundary_duplicates_dropped", "worker_count"):
             assert field in summary
 
-    def test_engine_metrics_merge_disjoint_flag(self):
+    def test_engine_metrics_merge_adds_shard_event_counts(self):
         from repro.engines import EngineMetrics
 
         a = EngineMetrics(events_processed=10, matches_emitted=1)
         b = EngineMetrics(events_processed=7, matches_emitted=2)
-        same = a.merge(b)
-        shard = a.merge(b, disjoint_streams=True)
-        assert same.events_processed == 10
+        shard = a.merge(b)
         assert shard.events_processed == 17
-        assert same.matches_emitted == shard.matches_emitted == 3
+        assert shard.matches_emitted == 3
 
     def test_build_engines_parallel_hook(self):
         stream = keyed_stream(53, count=100)

@@ -4,14 +4,14 @@ import pytest
 
 from repro.cost import HybridCostModel, NextMatchCostModel, ThroughputCostModel
 from repro.engines import (
-    DisjunctionEngine,
+    EngineSnapshot,
     NFAEngine,
-    TreeEngine,
     build_engine,
     build_engines,
     reference_match_keys,
 )
 from repro.errors import OptimizerError
+from repro.multiquery import DagEngine
 from repro.optimizers import plan_pattern, resolve_cost_model, total_cost
 from repro.optimizers.planner import replan
 from repro.patterns import decompose, nested_to_dnf, parse_pattern
@@ -98,7 +98,9 @@ class TestEngineFactory:
     def test_tree_plan_builds_tree_engine(self, catalog):
         pattern = parse_pattern("PATTERN SEQ(A a, B b) WITHIN 5")
         planned = plan_pattern(pattern, catalog, algorithm="ZSTREAM")
-        assert isinstance(build_engine(planned[0]), TreeEngine)
+        engine = build_engine(planned[0])
+        assert isinstance(engine, DagEngine)
+        assert len(engine.plan.roots) == 1
 
     def test_disjunction_wrapped(self, catalog):
         pattern = parse_pattern(
@@ -106,7 +108,10 @@ class TestEngineFactory:
         )
         planned = plan_pattern(pattern, catalog, algorithm="GREEDY")
         engine = build_engines(planned)
-        assert isinstance(engine, DisjunctionEngine)
+        assert isinstance(engine, DagEngine)
+        assert [root.query for root in engine.plan.roots] == [
+            item.pattern.name for item in planned
+        ]
 
     def test_empty_rejected(self):
         from repro.errors import EngineError
@@ -124,9 +129,10 @@ class TestEngineFactory:
         donor = build_engines(planned)
         for event in stream[:30]:
             donor.process(event)
-        snapshots = donor.export_state()
-        assert len(snapshots) == 2
-        seeded = build_engines(planned, seed=snapshots)
+        snapshot = donor.export_state()
+        assert isinstance(snapshot, EngineSnapshot)
+        assert len(snapshot.consumed) == 2  # one set per disjunct
+        seeded = build_engines(planned, seed=snapshot)
         donor_tail, seeded_tail = [], []
         for event in stream[30:]:
             donor_tail.extend(donor.process(event))
@@ -134,6 +140,66 @@ class TestEngineFactory:
         assert {m.key() for m in seeded_tail} == {
             m.key() for m in donor_tail
         }
+
+
+#: ``OR(SEQ(A a, B b, C c), AND(A e, C d)) WHERE a.x = c.x`` under the
+#: consuming strategies on ``make_stream(3, count=60, types="ABC")``:
+#: ``(disjunct, bound sequence numbers)`` in emission order, pinned to
+#: one independent tree runtime per DNF disjunct.  Each disjunct
+#: consumes its own events; events 41 and 42 complete both disjuncts in
+#: one ``process`` call, disjunct 0 first.
+CONSUMING_DISJUNCTION = {
+    "DP-B": [
+        ("1", "d0 e2"), ("1", "d1 e4"), ("1", "d5 e6"), ("1", "d7 e10"),
+        ("0", "a10 b12 c13"), ("1", "d8 e14"), ("1", "d9 e15"),
+        ("0", "a14 b17 c19"), ("1", "d16 e21"), ("1", "d19 e25"),
+        ("0", "a21 b23 c26"), ("1", "d22 e27"), ("1", "d24 e29"),
+        ("1", "d26 e30"), ("0", "a27 b28 c33"), ("1", "d32 e35"),
+        ("1", "d33 e36"), ("0", "a35 b38 c41"), ("1", "d41 e37"),
+        ("0", "a36 b39 c42"), ("1", "d42 e40"), ("0", "a40 b45 c46"),
+        ("1", "d43 e47"),
+    ],
+    "ZSTREAM": [
+        ("1", "d0 e2"), ("1", "d1 e4"), ("1", "d5 e6"), ("1", "d7 e10"),
+        ("0", "a10 b12 c13"), ("1", "d8 e14"), ("1", "d9 e15"),
+        ("0", "a14 b17 c19"), ("1", "d16 e21"), ("1", "d19 e25"),
+        ("1", "d22 e27"), ("1", "d24 e29"), ("1", "d26 e30"),
+        ("0", "a27 b28 c33"), ("1", "d32 e35"), ("1", "d33 e36"),
+        ("1", "d41 e37"), ("1", "d42 e40"), ("1", "d43 e47"),
+    ],
+}
+
+
+class TestConsumingDisjunction:
+    """A disjunction under ``next``/``strict``: per-disjunct consumption,
+    matches and emission order pinned."""
+
+    @pytest.mark.parametrize("algorithm", sorted(CONSUMING_DISJUNCTION))
+    @pytest.mark.parametrize("selection", ["next", "strict"])
+    def test_matches_and_order_are_pinned(self, selection, algorithm):
+        from repro import estimate_pattern_catalog
+
+        pattern = parse_pattern(
+            "PATTERN OR(SEQ(A a, B b, C c), AND(A e, C d)) "
+            "WHERE a.x = c.x WITHIN 3"
+        )
+        stream = make_stream(seed=3, count=60, types="ABC")
+        planned = plan_pattern(
+            pattern, estimate_pattern_catalog(pattern, stream),
+            algorithm=algorithm, selection=selection,
+        )
+        assert len(planned) == 2 and all(item.is_tree for item in planned)
+        got = [
+            (
+                match.pattern_name[-1],
+                " ".join(
+                    f"{variable}{event.seq}"
+                    for variable, event in sorted(match.bindings.items())
+                ),
+            )
+            for match in build_engines(planned).run(stream)
+        ]
+        assert got == CONSUMING_DISJUNCTION[algorithm]
 
 
 class TestReplan:

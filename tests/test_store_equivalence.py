@@ -2,7 +2,8 @@
 sets.
 
 Randomized-stream property tests (seeded, deterministic) asserting that
-every runtime — TreeEngine, NFAEngine, and MultiQueryEngine — reports a
+every runtime — the one-root plan DAG of a tree plan, the NFA, and the
+multi-query DAG — reports a
 match sequence identical to the seed interpreted linear-store evaluation
 (``indexed=False, compiled=False``) under every acceleration mode
 combination: hash equi-join probes, sorted-run theta range probes, and
@@ -21,7 +22,7 @@ import random
 
 import pytest
 
-from repro.engines import NFAEngine, TreeEngine, reference_match_keys
+from repro.engines import NFAEngine, build_runtime, reference_match_keys
 from repro.errors import EngineError
 from repro.events import Event, Stream
 from repro.multiquery import Workload, plan_workload
@@ -103,12 +104,12 @@ def test_tree_and_nfa_accelerated_match_interpreted_linear(name, text, seed):
     kwargs = {"max_kleene_size": 3} if name.startswith("kleene") else {}
     reference = reference_match_keys(stream=stream, decomposed=d, **kwargs)
     for tree in list(enumerate_bushy_trees(d.positive_variables))[:4]:
-        baseline = TreeEngine(
+        baseline = build_runtime(
             d, tree, indexed=False, compiled=False, **kwargs
         ).run(stream)
         assert set(keys_of(baseline)) == reference
         for indexed, compiled in MODES:
-            accelerated = TreeEngine(
+            accelerated = build_runtime(
                 d, tree, indexed=indexed, compiled=compiled, **kwargs
             ).run(stream)
             assert keys_of(accelerated) == keys_of(baseline), (
@@ -149,11 +150,11 @@ def test_consuming_strategies_accelerated_match_interpreted(
     stream = rand_stream(seed, count=80, types="ABC")
     d = decompose(parse_pattern(text))
     for tree in list(enumerate_bushy_trees(d.positive_variables))[:3]:
-        baseline = TreeEngine(
+        baseline = build_runtime(
             d, tree, selection=selection, indexed=False, compiled=False
         ).run(stream)
         for indexed, compiled in MODES:
-            accelerated = TreeEngine(
+            accelerated = build_runtime(
                 d, tree, selection=selection,
                 indexed=indexed, compiled=compiled,
             ).run(stream)
@@ -185,11 +186,11 @@ def test_noisy_values_accelerated_match_interpreted(seed, text):
     stream = noisy_stream(seed, count=70)
     d = decompose(parse_pattern(text))
     for tree in list(enumerate_bushy_trees(d.positive_variables))[:3]:
-        baseline = TreeEngine(
+        baseline = build_runtime(
             d, tree, indexed=False, compiled=False
         ).run(stream)
         for indexed, compiled in MODES:
-            accelerated = TreeEngine(
+            accelerated = build_runtime(
                 d, tree, indexed=indexed, compiled=compiled
             ).run(stream)
             assert keys_of(accelerated) == keys_of(baseline)
@@ -219,8 +220,8 @@ def test_unhashable_key_values_indexed_match_linear():
     stream = Stream(events)
     d = decompose(parse_pattern("PATTERN SEQ(A a, B b) WHERE a.k = b.k WITHIN 2"))
     for tree in enumerate_bushy_trees(d.positive_variables):
-        linear = TreeEngine(d, tree, indexed=False).run(stream)
-        indexed = TreeEngine(d, tree, indexed=True).run(stream)
+        linear = build_runtime(d, tree, indexed=False).run(stream)
+        indexed = build_runtime(d, tree, indexed=True).run(stream)
         assert keys_of(indexed) == keys_of(linear)
     for order in enumerate_orders(d.positive_variables):
         linear = NFAEngine(d, order, indexed=False).run(stream)
@@ -278,7 +279,7 @@ def test_traced_runs_match_untraced(name, text, seed):
     order = next(iter(enumerate_orders(d.positive_variables)))
     for indexed, compiled in ((False, False),) + MODES:
         for build in (
-            lambda: TreeEngine(
+            lambda: build_runtime(
                 d, tree, indexed=indexed, compiled=compiled, **kwargs
             ),
             lambda: NFAEngine(
@@ -384,8 +385,8 @@ def test_kleene_equality_predicates_engage_the_index(name, text, seed):
     stream = rand_stream(seed)
     d = decompose(parse_pattern(text))
     tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
-    engine = TreeEngine(d, tree, indexed=True, max_kleene_size=3)
-    baseline = TreeEngine(d, tree, indexed=False, max_kleene_size=3).run(stream)
+    engine = build_runtime(d, tree, indexed=True, max_kleene_size=3)
+    baseline = build_runtime(d, tree, indexed=False, max_kleene_size=3).run(stream)
     assert keys_of(engine.run(stream)) == keys_of(baseline)
     assert engine.metrics.index_probes > 0
 
@@ -403,7 +404,7 @@ def test_run_batched_is_run():
     d = decompose(parse_pattern(PATTERNS[0][1]))
     tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
     order = next(iter(enumerate_orders(d.positive_variables)))
-    for build in (lambda: TreeEngine(d, tree), lambda: NFAEngine(d, order)):
+    for build in (lambda: build_runtime(d, tree), lambda: NFAEngine(d, order)):
         baseline = match_sig(build().run(stream))
         for batch_size in (1, 7, len(stream) + 1):
             batched = build().run_batched(stream, batch_size=batch_size)
@@ -479,7 +480,7 @@ def test_batched_runs_match_single_event(name, text, seed):
         (False, False, False),
     ):
         for build in (
-            lambda: TreeEngine(
+            lambda: build_runtime(
                 d, tree, indexed=indexed, compiled=compiled,
                 codegen=codegen, **kwargs
             ),
@@ -514,7 +515,7 @@ def test_batched_consuming_strategies_match_single_event(seed, selection):
     tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
     order = next(iter(enumerate_orders(d.positive_variables)))
     for build in (
-        lambda: TreeEngine(d, tree, selection=selection, indexed=True),
+        lambda: build_runtime(d, tree, selection=selection, indexed=True),
         lambda: NFAEngine(d, order, selection=selection, indexed=True),
     ):
         single = build()
@@ -538,7 +539,7 @@ def test_batched_noisy_values_match_single_event(seed):
     tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
     order = next(iter(enumerate_orders(d.positive_variables)))
     for build in (
-        lambda: TreeEngine(d, tree, indexed=True, compiled=True),
+        lambda: build_runtime(d, tree, indexed=True, compiled=True),
         lambda: NFAEngine(d, order, indexed=True, compiled=True),
     ):
         single = build()
@@ -593,12 +594,12 @@ def test_batched_traced_runs_fall_back_identically(seed):
         parse_pattern("PATTERN SEQ(A a, B b, C c) WHERE a.x = b.x WITHIN 4")
     )
     tree = next(iter(enumerate_bushy_trees(d.positive_variables)))
-    single = TreeEngine(d, tree, indexed=True, compiled=True)
+    single = build_runtime(d, tree, indexed=True, compiled=True)
     tracer = Tracer()
     single.set_tracer(tracer)
     baseline = single.run(stream)
     runner, result = feed_in_frames(
-        lambda: TreeEngine(d, tree, indexed=True, compiled=True),
+        lambda: build_runtime(d, tree, indexed=True, compiled=True),
         stream,
         16,
         trace=True,
