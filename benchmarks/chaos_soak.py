@@ -3,8 +3,10 @@
 Each round draws a fault schedule from a seeded RNG — worker kills,
 torn socket writes, freezes, reply delays, shard-server crashes at
 random batch positions — runs the keyed workload through the process
-and socket backends under that schedule, and asserts the recovered
-output is byte-identical to the interpreted single-threaded run.  The
+and socket backends under that schedule, plus a keyed three-query
+shared plan through the process backend, and asserts the recovered
+output is byte-identical to the interpreted single-threaded run (per
+query for the shared plan).  The
 machine-readable fault log of every firing is written to
 ``benchmarks/results/chaos_soak.json`` (the artifact CI uploads), so a
 failing seed is replayable verbatim: the same seed composes the same
@@ -29,11 +31,13 @@ from repro import (
     ParallelConfig,
     ParallelExecutor,
     Stream,
+    Workload,
     build_engines,
     canonical_order,
     estimate_pattern_catalog,
     parse_pattern,
     plan_pattern,
+    plan_workload,
     serve_in_thread,
 )
 from repro.events import Event
@@ -42,6 +46,12 @@ from repro.parallel import match_records
 RESULTS_DIR = Path(__file__).parent / "results"
 
 KEYED = "PATTERN SEQ(A a, B b, C c) WHERE a.k = b.k AND b.k = c.k WITHIN 1.5"
+#: Three queries over one key class: a shared plan the key router shards.
+SHARED = (
+    "PATTERN SEQ(A a, B b) WHERE a.k = b.k WITHIN 1.5",
+    "PATTERN SEQ(B p, C q) WHERE p.k = q.k WITHIN 1.5",
+    "PATTERN SEQ(A x, C y) WHERE x.k = y.k WITHIN 1.5",
+)
 
 
 def make_stream(count: int, seed: int) -> Stream:
@@ -149,14 +159,30 @@ def disorder_round(planned, stream, seed: int) -> dict:
     }
 
 
-def chaos_run(planned, stream, config) -> list:
+def chaos_run(planned, stream, config, settle: bool = False) -> list:
+    """Feed the stream in two halves under ``config``'s fault plan.
+
+    ``settle`` waits for every ack of the first half before the second:
+    a fault that fires after it finds an acked window log, so recovery
+    goes through the snapshot reseed rather than a bare batch resend.
+    """
     with ParallelExecutor(planned, config) as executor:
         run = executor.session().stream()
         events = list(stream)
         out = list(run.feed(events[: len(events) // 2]))
+        if settle:
+            out.extend(run.settle())
         out.extend(run.feed(events[len(events) // 2:]))
         out.extend(run.finish())
         return match_records(out), run.metrics
+
+
+def by_query(records: list) -> dict:
+    """Canonical match records fanned out per query name."""
+    grouped: dict = {}
+    for record in records:
+        grouped.setdefault(record[0], []).append(record)
+    return grouped
 
 
 def soak(rounds: int, events: int, seed: int) -> dict:
@@ -167,6 +193,19 @@ def soak(rounds: int, events: int, seed: int) -> dict:
     expected = match_records(
         canonical_order(build_engines(planned).run(stream))
     )
+    workload = Workload.of(*SHARED)
+    shared = plan_workload(
+        workload,
+        {
+            name: estimate_pattern_catalog(query, stream)
+            for name, query in workload.items()
+        },
+    )
+    shared_expected = {
+        query: match_records(canonical_order(matches))
+        for query, matches in build_engines(shared).run(stream).items()
+        if matches
+    }
     base = dict(
         workers=2,
         partitioner="key",
@@ -193,6 +232,28 @@ def soak(rounds: int, events: int, seed: int) -> dict:
         )
         entry["backends"]["processes"] = {
             "identical": records == expected,
+            "seconds": round(time.perf_counter() - started, 3),
+            "fault_log": plan.log,
+            "counters": {
+                "worker_crashes": metrics.worker_crashes,
+                "worker_reseeds": metrics.worker_reseeds,
+                "heartbeats_missed": metrics.heartbeats_missed,
+                "send_retries": metrics.send_retries,
+            },
+        }
+
+        # Shared plan on the process backend, under the same schedule:
+        # each worker hosts the whole multi-query DAG for its keys.
+        plan = compose_plan(round_seed, max_batch=5, server_faults=False)
+        started = time.perf_counter()
+        records, metrics = chaos_run(
+            shared,
+            stream,
+            ParallelConfig(backend="processes", fault_plan=plan, **base),
+            settle=True,
+        )
+        entry["backends"]["shared"] = {
+            "identical": by_query(records) == shared_expected,
             "seconds": round(time.perf_counter() - started, 3),
             "fault_log": plan.log,
             "counters": {

@@ -52,10 +52,10 @@ sweep is reproduced by ``benchmarks/bench_fig20_multiquery_sharing.py``.
 Parallel partitioned execution
 ------------------------------
 
-:mod:`repro.parallel` shards one logical stream across a worker pool —
-by equi-join key, by overlapping window slices, or (for workloads) by
-query — and merges match streams into a canonical deterministic order
-identical in content to single-threaded execution::
+:mod:`repro.parallel` shards one logical stream across a worker pool
+by equi-join key — a plan with no shared key runs on one worker — and
+merges match streams into a canonical deterministic order identical in
+content to single-threaded execution::
 
     from repro import ParallelConfig, build_engines
 

@@ -176,21 +176,11 @@ INSTRUMENTS: Tuple[Instrument, ...] = (
     ),
     Instrument(
         "events_routed", "counter", "events_routed", "parallel",
-        "event copies dispatched to parallel workers",
+        "events dispatched to parallel workers",
         "parallel runtime only (:mod:`repro.parallel`):\n"
-        "event *copies* dispatched to workers.  Events of\n"
-        "types no pattern references are dropped at the\n"
-        "driver under every partitioner; overlapping\n"
-        "window slices and query replication make the\n"
-        "count exceed the relevant-event total",
-    ),
-    Instrument(
-        "boundary_duplicates_dropped", "counter",
-        "boundary_duplicates_dropped", "parallel",
-        "window-slice matches filtered before the merge",
-        "parallel runtime only: matches produced by a\n"
-        "window slice that did not own them (the overlap\n"
-        "region) and were filtered before the merge",
+        "events dispatched to workers, each to exactly\n"
+        "one.  Events of types no pattern references are\n"
+        "dropped at the driver",
     ),
     Instrument(
         "worker_count", "counter", "worker_count", "parallel",

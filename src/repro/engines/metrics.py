@@ -206,7 +206,6 @@ class EngineMetrics:
     retractions_processed: int = 0
     matches_retracted: int = 0
     events_routed: int = 0
-    boundary_duplicates_dropped: int = 0
     worker_count: int = 0
     selectivity_observations: int = 0
     migrations: int = 0

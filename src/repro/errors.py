@@ -56,8 +56,8 @@ class WorkerCrashError(ParallelError):
     liveness deadline (``ParallelConfig.liveness_seconds``) — frozen
     workers surface here instead of hanging the run.  Raised when
     recovery is disabled (``ParallelConfig.recovery="fail"``), when the
-    run's mode does not support snapshot reseeding (window slices,
-    non-restartable backends), or when every reconnect attempt
+    crashed worker's backend is not restartable, or when every
+    reconnect attempt
     (``reconnect_attempts``, exponential backoff) failed and
     ``degradation="fail"`` — set ``degradation="local"`` to demote the
     dead shard's partitions to a local worker instead."""

@@ -133,12 +133,10 @@ def run_workload(
     ``parallel`` (a :class:`~repro.parallel.ParallelConfig`, or an int
     worker count) executes the shared plan on the parallel runtime
     instead of a single :class:`MultiQueryEngine`: the stream is
-    sharded per the configured partitioner — the default ``"auto"``
-    routes by equi-join key when every query admits it and falls back
-    to overlapping window slices; ``partitioner="query"`` splits the
-    DAG's root set round-robin instead — and the per-query match lists
-    come back in canonical order, identical in content to the
-    single-engine run.
+    routed by equi-join key when every query admits one key class and
+    otherwise runs on one worker of the configured backend, and the
+    per-query match lists come back in canonical order, identical in
+    content to the single-engine run.
     """
     if not isinstance(workload, Workload):
         workload = Workload(workload)

@@ -2,18 +2,16 @@
 
 The paper evaluates CEP patterns as multi-way stream joins — exactly
 the setting where data-parallel execution pays off (CLASH's partitioned
-multi-way join stores; HyperCube-style sharding of distributed complex
-joins).  This subsystem shards one logical stream across a worker pool
-and merges the per-worker match streams into a deterministic canonical
-order, with three partitioning strategies:
+multi-way join stores).  This subsystem shards one logical stream
+across a worker pool and merges the per-worker match streams into a
+deterministic canonical order, with one partitioning rule:
 
-* **key** — route events by equi-join key when the pattern's equality
-  predicates cover every variable (no duplication, no overlap);
-* **window** — overlapping time slices of length ``span + 2W`` with
-  slice-ownership dedup, valid for *any* pattern (theta, Kleene,
-  negation);
-* **query** — round-robin split of a multi-query shared plan's root
-  set, each worker evaluating its sub-DAG over the full stream.
+* a plan whose equality predicates place every variable in one
+  key-equivalence class is **key**-partitioned — each event routes by
+  the hash of its key, every match forms inside one worker;
+* any other plan (theta-only, Kleene, negation, or a shared plan whose
+  queries disagree on a key) runs on **one worker** of the configured
+  backend.
 
 Entry points::
 
@@ -23,11 +21,10 @@ Entry points::
     matches = executor.run(stream)          # == canonical single-core output
 
     result = run_workload(workload, stream,
-                          parallel=ParallelConfig(workers=4,
-                                                  partitioner="window"))
+                          parallel=ParallelConfig(workers=4))
 
-Guarantees: for every partitioner, backend and worker count, the merged
-match list is byte-identical (canonically ordered, see
+Guarantees: for every backend and worker count, the merged match list
+is byte-identical (canonically ordered, see
 :mod:`repro.parallel.ordering`) to single-threaded execution of the
 same plans — the seeded equivalence tests assert it across the tree,
 lazy-NFA and multi-query runtimes.
@@ -39,16 +36,10 @@ from .ordering import (
     completion_seq,
     content_key,
     match_min_seq,
-    match_min_ts,
     match_records,
     match_sort_key,
 )
-from .partitioners import (
-    KeyPartitioner,
-    WindowPartitioner,
-    key_routing_map,
-    split_shared_plan,
-)
+from .partitioners import KeyPartitioner, key_routing_map
 from .worker import EngineSpec, SharedSpec, TaskRunner, WorkerTask, execute_task
 
 __all__ = [
@@ -58,13 +49,10 @@ __all__ = [
     "completion_seq",
     "content_key",
     "match_min_seq",
-    "match_min_ts",
     "match_records",
     "match_sort_key",
     "KeyPartitioner",
-    "WindowPartitioner",
     "key_routing_map",
-    "split_shared_plan",
     "EngineSpec",
     "SharedSpec",
     "TaskRunner",

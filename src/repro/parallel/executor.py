@@ -1,10 +1,9 @@
 """The parallel driver: shard a stream, run workers, merge matches.
 
 :class:`ParallelExecutor` is the user-facing runtime of
-:mod:`repro.parallel`.  Construction resolves the partitioning strategy
-(key routing when the pattern admits it, padded window slices
-otherwise, round-robin query groups on request) and freezes the worker
-specs; :meth:`ParallelExecutor.run` then makes **one pass** over the
+:mod:`repro.parallel`.  Construction resolves the partitioning (key
+routing when the plan admits it, one worker otherwise) and freezes the
+worker spec; :meth:`ParallelExecutor.run` then makes **one pass** over the
 event source — a :class:`~repro.events.Stream`, a
 :class:`~repro.events.ChunkedStream`, or any event iterable — routing
 events into per-worker batches and merging the returned match lists
@@ -31,9 +30,9 @@ entirely.  Four backends speak the identical worker protocol:
   addresses).  The multi-host path.
 
 Whatever the backend and worker count, the merged output is
-**identical** (canonically ordered, boundary-deduplicated) — the
-equivalence tests assert byte-level identity against single-engine
-execution across all partitioners and runtimes.
+**identical** (canonically ordered) — the equivalence tests assert
+byte-level identity against single-engine execution on every backend,
+keyed and one-worker alike.
 """
 
 from __future__ import annotations
@@ -49,7 +48,9 @@ from ..optimizers.planner import PlannedPattern
 from .partitioners import key_routing_map
 from .worker import EngineSpec, SharedSpec
 
-_PARTITIONERS = ("auto", "key", "window", "query")
+_PARTITIONERS = ("auto", "key")
+#: Partitioners measured slower than the serial engine and removed.
+_REMOVED_PARTITIONERS = ("window", "query")
 _BACKENDS = ("processes", "threads", "serial", "socket")
 _RECOVERY = ("fail", "reseed")
 _DEGRADATION = ("fail", "local")
@@ -61,12 +62,11 @@ class ParallelConfig:
 
     ``workers=0`` means one per CPU (for the ``"socket"`` backend, one
     per shard).  ``partitioner="auto"`` picks key routing when every
-    variable sits in one key-equivalence class and falls back to window
-    slices.  ``span`` overrides the window-slice ownership stride
-    (mandatory for unsized event sources; the sized default is
-    ``max(duration/workers, W)``, clamped so overlap replication stays
-    bounded).  ``start_method`` pins the ``multiprocessing`` context
-    (``fork`` is preferred when the platform offers it).
+    variable sits in one key-equivalence class and otherwise runs the
+    plan on one worker of the configured backend; ``"key"`` refuses a
+    plan it cannot route.  ``start_method`` pins the
+    ``multiprocessing`` context (``fork`` is preferred when the
+    platform offers it).
 
     Service-runtime knobs:
 
@@ -80,7 +80,7 @@ class ParallelConfig:
       :class:`~repro.errors.WorkerCrashError`; ``"reseed"`` transparently
       restarts the worker (process respawn, socket re-dial +
       re-handshake) and replays its acked window log through the
-      snapshot machinery (key/query partitioning).
+      snapshot machinery (single patterns and shared plans alike).
     * ``pin_cpus`` — pin process-backend worker *i* to CPU ``i % ncpu``
       via ``os.sched_setaffinity`` where the platform offers it.
 
@@ -133,7 +133,6 @@ class ParallelConfig:
     partitioner: str = "auto"
     backend: str = "processes"
     batch_size: int = 512
-    span: Optional[float] = None
     start_method: Optional[str] = None
     shards: Sequence[Tuple[str, int]] = field(default_factory=tuple)
     max_inflight: int = 8
@@ -152,6 +151,13 @@ class ParallelConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
+        if self.partitioner in _REMOVED_PARTITIONERS:
+            raise ParallelError(
+                f"the {self.partitioner!r} partitioner was removed (it ran "
+                "slower than the serial engine); use partitioner='auto', "
+                "which key-partitions a plan it can route and runs any "
+                "other plan on one worker"
+            )
         if self.partitioner not in _PARTITIONERS:
             raise ParallelError(
                 f"unknown partitioner {self.partitioner!r}; "
@@ -165,10 +171,6 @@ class ParallelConfig:
             raise ParallelError("batch_size must be positive")
         if self.workers < 0:
             raise ParallelError("workers must be >= 0 (0 = one per CPU)")
-        if self.span is not None and self.span <= 0:
-            raise ParallelError(
-                f"span must be positive when given (got {self.span})"
-            )
         if self.max_inflight <= 0:
             raise ParallelError("max_inflight must be >= 1")
         if self.recovery not in _RECOVERY:
@@ -226,10 +228,15 @@ class ParallelExecutor:
     single-process engine's ``run`` would — a match list, or a
     per-query match dict for shared plans — in canonical order.  After
     a run, ``metrics`` holds the aggregated per-worker
-    :class:`~repro.engines.EngineMetrics` (``worker_count``,
-    ``events_routed`` and ``boundary_duplicates_dropped`` describe the
-    sharding itself), ``events_in`` the number of input events, and
-    ``wall_seconds`` the elapsed feed-to-merge wall time.
+    :class:`~repro.engines.EngineMetrics` (``worker_count`` and
+    ``events_routed`` describe the sharding itself), ``events_in`` the
+    number of input events, and ``wall_seconds`` the elapsed
+    feed-to-merge wall time.
+
+    A plan key partitioning cannot route runs on one worker of the
+    configured backend: ``workers`` and ``metrics.worker_count`` read 1,
+    and the run keeps the pool protocol, streaming frontier and reseed
+    recovery of a keyed one.
 
     The executor owns a lazily created :class:`repro.service.Session`
     whose worker pool persists across runs; :meth:`close` (or use as a
@@ -252,10 +259,6 @@ class ParallelExecutor:
         codegen: bool = True,
     ) -> None:
         self.config = config or ParallelConfig()
-        if self.config.backend == "socket":
-            self.workers = self.config.workers or len(self.config.shards)
-        else:
-            self.workers = self.config.workers or os.cpu_count() or 1
         self.metrics: Optional[EngineMetrics] = None
         self.events_in = 0
         self.wall_seconds = 0.0
@@ -299,7 +302,7 @@ class ParallelExecutor:
         # matches against in-flight pending releases.
         self._has_negation = any(d.negations for d in decomposeds)
         # Types any pattern can react to (positive or forbidden): the
-        # window/query feeders drop everything else at the driver, like
+        # one-worker router drops everything else at the driver, like
         # the key router does — unreferenced events would only be
         # pickled across worker queues to be ignored there.
         self._relevant_types = set()
@@ -309,25 +312,26 @@ class ParallelExecutor:
                 spec.event_type for spec in decomposed.negations
             )
 
-        requested = self.config.partitioner
-        self._routing: Optional[Dict[str, str]] = None
-        if requested in ("auto", "key"):
-            self._routing = key_routing_map(decomposeds)
-        if requested == "key" and self._routing is None:
-            raise ParallelError(
-                "key partitioning is inapplicable: the pattern's equality "
-                "predicates do not place every variable in one "
-                "key-equivalence class (or the pattern uses Kleene/"
-                "negation); use partitioner='window'"
-            )
-        if requested == "query" and not self._shared:
-            raise ParallelError(
-                "query partitioning applies to SharedPlan workloads only"
-            )
-        if requested == "auto":
-            self.partitioner_name = "key" if self._routing else "window"
+        self._routing: Optional[Dict[str, str]] = key_routing_map(
+            decomposeds
+        )
+        if self._routing is None:
+            if self.config.partitioner == "key":
+                raise ParallelError(
+                    "key partitioning is inapplicable: the pattern's "
+                    "equality predicates do not place every variable in "
+                    "one key-equivalence class (or the pattern uses "
+                    "Kleene/negation); partitioner='auto' runs it on "
+                    "one worker"
+                )
+            self.partitioner_name = "single"
+            self.workers = 1
         else:
-            self.partitioner_name = requested
+            self.partitioner_name = "key"
+            if self.config.backend == "socket":
+                self.workers = self.config.workers or len(self.config.shards)
+            else:
+                self.workers = self.config.workers or os.cpu_count() or 1
 
     # -- public API ----------------------------------------------------------
     def session(self):
@@ -376,31 +380,6 @@ class ParallelExecutor:
         if self.wall_seconds <= 0:
             return 0.0
         return self.events_in / self.wall_seconds
-
-    # -- helpers --------------------------------------------------------------
-    def _auto_span(self, stream) -> float:
-        """Default ownership stride: ``max(duration/workers, W)``.
-
-        The clamp to the pattern window bounds slice replication at
-        <= 3 copies per event; a bare ``duration/workers`` stride with
-        ``W >> stride`` would deliver every event to ``~2W/stride``
-        slices and make the parallel run do a large multiple of the
-        serial work.  An explicit ``ParallelConfig.span`` still allows
-        finer slicing when the caller wants it.
-        """
-        duration = getattr(stream, "duration", None)
-        if duration is None:
-            raise ParallelError(
-                "window partitioning over an unsized event source needs "
-                "an explicit ParallelConfig.span (the default stride is "
-                "duration/workers, and a generator's duration is unknown)"
-            )
-        if duration <= 0:
-            return self._window if self._window > 0 else 1.0
-        stride = duration / self.workers
-        if self._window > 0:
-            stride = max(stride, self._window)
-        return stride
 
     def __repr__(self) -> str:
         kind = "shared" if self._shared else "single"

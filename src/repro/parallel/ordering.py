@@ -89,19 +89,6 @@ def match_min_seq(match: Match) -> int:
     return -1 if earliest is None else earliest
 
 
-def match_min_ts(match: Match) -> float:
-    """Earliest constituent timestamp (window-slice ownership test)."""
-    earliest = float("inf")
-    for value in match.bindings.values():
-        if isinstance(value, tuple):
-            for event in value:
-                if event.timestamp < earliest:
-                    earliest = event.timestamp
-        elif value.timestamp < earliest:
-            earliest = value.timestamp
-    return earliest
-
-
 def match_sort_key(match: Match):
     """Total order over one run's matches; see the module docstring."""
     return (

@@ -1,49 +1,30 @@
-"""Stream partitioners: how one logical stream becomes worker shards.
+"""Stream partitioning: how one logical stream becomes worker shards.
 
-Three strategies, mirroring how distributed stream-join systems shard
-work (CLASH's partitioned join stores; the HyperCube-style sharding of
-"Fast Distributed Complex Join Processing"):
-
-**Key partitioning** (:class:`KeyPartitioner`).  When the pattern's
-``Attr == Attr`` predicates place *every* positive variable in one
-key-equivalence class, any match binds events agreeing on that class's
-attribute values — so routing each event by the hash of its class
-attribute sends every match wholly into one worker.  No duplication, no
-boundary handling; the same extraction PR 2's stores use per join
+One rule.  When the pattern's ``Attr == Attr`` predicates place *every*
+positive variable in one key-equivalence class, any match binds events
+agreeing on that class's attribute values — so routing each event by
+the hash of its class attribute sends every match wholly into one
+worker (:class:`KeyPartitioner`).  No duplication, no boundary
+handling; the same extraction the indexed stores use per join
 (:func:`repro.engines.stores.equality_key_pairs`), here closed over the
-whole pattern via union-find.
+whole pattern via union-find.  This is the CLASH-style partitioned
+join store, and the one sharding that beats the serial engine.
 
-**Overlapping window slices** (:class:`WindowPartitioner`).  Arbitrary
-patterns (theta-only, Kleene, negation) shard by time instead: slice
-``i`` owns matches whose earliest constituent falls in
-``[t0 + i*span, t0 + (i+1)*span)`` and receives every event within
-``W`` of that range (inclusive, plus a few ulps of slack — see
-:meth:`WindowPartitioner.delivery_bounds`).  The ``W`` pad suffices on
-both sides: a match spans at most ``W`` past its earliest constituent,
-and every forbidden-event candidate a negation check can consult lies
-within ``W`` of the match on either side
-(:meth:`repro.engines.negation.PreparedSpec.admissible_range`).  Each
-worker emits only the matches its slices own; copies produced in the
-overlap are dropped at the source and counted as
-``boundary_duplicates_dropped``.
-
-**Query partitioning** (:func:`split_shared_plan`).  Multi-query
-workloads can shard by *query* instead of by data: the shared plan
-DAG's root set is split round-robin and each worker evaluates the
-sub-DAG its roots reach over the full stream.  Cross-group sharing is
-forfeited — that is the trade — while sharing within a group survives,
-because the sub-plans reuse the original DAG nodes.
+Every other plan — theta-only, Kleene, negation, or a shared plan whose
+queries disagree on a key — runs on one worker
+(:class:`SingleWorkerRouter`).  Time-sliced and per-query sharding were
+measured slower than the serial engine at every worker count: slice
+overlap replicates events, and a query split forfeits the sub-joins the
+shared plan exists to share.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ParallelError
 from ..patterns.predicates import Attr, Comparison
 from ..patterns.transformations import DecomposedPattern
-from ..multiquery.sharing import SharedJoin, SharedNode, SharedPlan, SharingReport
 
 _EQUALITY_OPS = ("=", "==")
 
@@ -63,8 +44,8 @@ def key_routing_map(
     pattern maps agree wherever they share an event type.  Patterns
     with Kleene variables (tuple bindings have no single key value) or
     negations (a forbidden event elsewhere in the key space must still
-    be visible) disqualify key partitioning — the window partitioner
-    handles those.
+    be visible) disqualify key partitioning; such plans run on one
+    worker (:class:`SingleWorkerRouter`).
     """
     merged: Dict[str, str] = {}
     for decomposed in decomposeds:
@@ -174,8 +155,7 @@ class KeyPartitioner:
         except TypeError:
             raise ParallelError(
                 f"unhashable routing key {event.type}.{attr}={value!r}; "
-                "key partitioning requires hashable key attributes "
-                "(use the window partitioner for this stream)"
+                "key partitioning requires hashable key attributes"
             ) from None
 
     def __repr__(self) -> str:
@@ -183,183 +163,16 @@ class KeyPartitioner:
         return f"KeyPartitioner({keys}; {self.workers} workers)"
 
 
-# ---------------------------------------------------------------------------
-# Overlapping window slices
-# ---------------------------------------------------------------------------
+class SingleWorkerRouter:
+    """Routes every event of a referenced type to worker 0.
 
-def slice_delivery_bounds(
-    t0: float, span: float, window: float, slice_id: int
-) -> Tuple[float, float]:
-    """Inclusive ``[lo, hi]`` of timestamps slice ``slice_id`` receives.
-
-    The ownership range padded by the window plus a few ulps of slack;
-    shared by the driver-side router (:meth:`WindowPartitioner.
-    delivery_bounds`) and the worker-side slice eviction, which may
-    finalize a slice engine exactly when the globally ordered feed
-    passes this upper bound.  See :meth:`WindowPartitioner.
-    delivery_bounds` for why the slack makes delivery strictly more
-    generous than any float evaluation the engines perform.
-    """
-    lo, hi = slice_owner_bounds(t0, span, slice_id)
-    pad = window + 4.0 * math.ulp(max(abs(lo), abs(hi), window, 1.0))
-    return lo - pad, hi + pad
-
-
-def slice_owner_bounds(
-    t0: float, span: float, slice_id: int
-) -> Tuple[float, float]:
-    """Half-open ``[lo, hi)`` of slice ``slice_id``'s ownership range.
-
-    The single definition both the driver-side
-    :class:`WindowPartitioner` and the worker-side ownership filter use:
-    ``hi`` is the next slice's ``lo`` bit for bit (both computed as
-    ``t0 + k*span``, never ``lo + span``), so the intervals tile the
-    timeline exactly even when ``t0 + i*span + span`` differs by one
-    ulp from ``t0 + (i+1)*span`` in float arithmetic — otherwise a
-    boundary timestamp would be owned by zero slices or by two.
-    """
-    return t0 + slice_id * span, t0 + (slice_id + 1) * span
-
-
-class WindowPartitioner:
-    """Time-sliced sharding with ``W``-padded overlap (see module doc).
-
-    ``span`` is the ownership stride; each slice's event range is
-    ``span + 2W`` long.  Slices are created on demand as event
-    timestamps reach them (the feeder never needs to know the stream's
-    duration up front), and slice ``i`` runs on worker ``i % workers``.
+    The fallback for plans key partitioning cannot shard: the run keeps
+    the pool protocol (and so reseed recovery) on one worker.
     """
 
-    name = "window"
+    def __init__(self, types: Iterable[str]) -> None:
+        self.types = frozenset(types)
 
-    def __init__(self, window: float, span: float, workers: int) -> None:
-        if workers <= 0:
-            raise ParallelError("window partitioning needs workers >= 1")
-        if span <= 0:
-            raise ParallelError(f"slice span must be positive (got {span})")
-        if window < 0:
-            raise ParallelError(f"window must be non-negative (got {window})")
-        self.window = float(window)
-        self.span = float(span)
-        self.workers = workers
-        self._t0: Optional[float] = None
-        # Delivery bounds are constants of a slice; the router asks for
-        # them once per candidate slice per event, so memoize.
-        self._delivery_cache: Dict[int, Tuple[float, float]] = {}
-
-    def start(self, t0: float) -> None:
-        """Anchor slice 0's ownership range at the first timestamp."""
-        self._t0 = float(t0)
-        self._delivery_cache.clear()
-
-    def slices_for(self, timestamp: float) -> List[int]:
-        """Slice ids whose padded event range contains ``timestamp``."""
-        if self._t0 is None:
-            raise ParallelError("WindowPartitioner.start was not called")
-        offset = timestamp - self._t0
-        span, window = self.span, self.window
-        # Candidate range from the arithmetic bounds, then verified
-        # against the exact delivery condition.
-        low = int(math.floor((offset - window) / span)) - 2
-        high = int(math.floor((offset + window) / span)) + 2
-        if len(self._delivery_cache) > 4096:
-            # Feed timestamps are non-decreasing, so slices below the
-            # current candidate range are never asked about again —
-            # keep the cache O(active slices) on unbounded streams.
-            self._delivery_cache = {
-                k: v for k, v in self._delivery_cache.items() if k >= low
-            }
-        slices = []
-        for index in range(max(0, low), high + 1):
-            lo, hi = self.delivery_bounds(index)
-            if lo <= timestamp <= hi:
-                slices.append(index)
-        return slices
-
-    def delivery_bounds(self, slice_id: int) -> Tuple[float, float]:
-        """Inclusive ``[lo, hi]`` of timestamps this slice must receive.
-
-        Derived from the *same* :func:`slice_owner_bounds` values the
-        worker-side ownership filter uses — never from independently
-        rounded offset arithmetic — and padded by the window plus a few
-        ulps of slack.  The slack makes delivery strictly more generous
-        than any float evaluation of "within ``W`` of an owned match"
-        the engines can perform (their own window and negation-range
-        checks carry rounding of the same magnitude).  Over-delivery is
-        always safe: a slice engine re-checks every admissibility
-        condition on the events it sees, so extra boundary events can
-        only cost throughput, while an event withheld from its owner
-        slice would silently change the match set.
-        """
-        if self._t0 is None:
-            raise ParallelError("WindowPartitioner.start was not called")
-        bounds = self._delivery_cache.get(slice_id)
-        if bounds is None:
-            bounds = slice_delivery_bounds(
-                self._t0, self.span, self.window, slice_id
-            )
-            self._delivery_cache[slice_id] = bounds
-        return bounds
-
-    def owner_bounds(self, slice_id: int) -> Tuple[float, float]:
-        """Half-open ``[lo, hi)`` of earliest-constituent ownership."""
-        if self._t0 is None:
-            raise ParallelError("WindowPartitioner.start was not called")
-        return slice_owner_bounds(self._t0, self.span, slice_id)
-
-    def worker_of(self, slice_id: int) -> int:
-        return slice_id % self.workers
-
-    def __repr__(self) -> str:
-        return (
-            f"WindowPartitioner(span={self.span:g}, window={self.window:g}, "
-            f"{self.workers} workers)"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Query partitioning (round-robin over shared-plan roots)
-# ---------------------------------------------------------------------------
-
-def split_shared_plan(plan: SharedPlan, parts: int) -> List[SharedPlan]:
-    """Split a shared plan's root set round-robin into sub-plans.
-
-    Roots are grouped by query (a nested query's DNF disjuncts stay
-    together) and the groups dealt round-robin across ``parts``.  Each
-    sub-plan keeps exactly the DAG nodes its roots reach, in the
-    original topological order, and *reuses the original node objects*
-    — all runtime state lives in the executor, so sub-plans stay
-    read-only views that remain individually picklable for the process
-    backend.  Returns at most ``parts`` plans (fewer when the workload
-    has fewer queries).
-    """
-    if parts <= 0:
-        raise ParallelError("query partitioning needs parts >= 1")
-    by_query: Dict[str, List] = {}
-    for root in plan.roots:
-        by_query.setdefault(root.query, []).append(root)
-    groups: List[List] = [[] for _ in range(min(parts, len(by_query)))]
-    for position, name in enumerate(by_query):
-        groups[position % len(groups)].extend(by_query[name])
-
-    sub_plans: List[SharedPlan] = []
-    for group in groups:
-        reachable: set = set()
-        stack: List[SharedNode] = [root.node for root in group]
-        while stack:
-            node = stack.pop()
-            if node.index in reachable:
-                continue
-            reachable.add(node.index)
-            if isinstance(node, SharedJoin):
-                stack.append(node.left)
-                stack.append(node.right)
-        nodes = [n for n in plan.nodes if n.index in reachable]
-        queries = len({root.query for root in group})
-        report = SharingReport(
-            queries=queries,
-            dag_nodes=len(nodes),
-            shared_nodes=sum(1 for n in nodes if n.is_shared),
-        )
-        sub_plans.append(SharedPlan(nodes, list(group), report))
-    return sub_plans
+    def route(self, event) -> Optional[int]:
+        """0 for an event some pattern references, else ``None``."""
+        return 0 if event.type in self.types else None

@@ -96,7 +96,6 @@ class Ingestor:
         backpressure: str = "block",
         flush_events: int = 256,
         flush_seconds: float = 0.05,
-        span: Optional[float] = None,
         registry=None,
         max_delay: float = 0.0,
         late_policy: str = "strict",
@@ -119,7 +118,7 @@ class Ingestor:
         if flush_seconds <= 0:
             raise ParallelError("flush_seconds must be positive")
         session = target.session() if hasattr(target, "session") else target
-        self._stream = session.stream(span=span)
+        self._stream = session.stream()
         self._max_pending = max_pending
         self._policy = backpressure
         self._flush_events = flush_events

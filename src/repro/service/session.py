@@ -23,12 +23,13 @@ Two consumption shapes:
 
 Crash handling: a worker death raises a typed
 :class:`~repro.errors.WorkerCrashError`, unless
-``ParallelConfig(recovery="reseed")`` and the run is single-engine-
-per-worker (key/query partitioning of plain specs) — then the driver
-respawns the worker, replays the acked window log through the PR-4
-``seed_from`` machinery (replayed matches are suppressed — they were
-already delivered in acks) and re-sends the unacked batches.  The
-combined effect is exactly-once match delivery across the crash.
+``ParallelConfig(recovery="reseed")`` on a restartable backend — then
+the driver respawns the worker, replays the acked window log through
+the engines' ``seed_from`` machinery (replayed matches are suppressed —
+they were already delivered in acks) and re-sends the unacked batches.
+Every worker hosts one engine, single-pattern or shared-plan, so every
+run is recoverable this way.  The combined effect is exactly-once match
+delivery across the crash.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..engines.metrics import EngineMetrics, LatencyHistogram
 from ..errors import ParallelError, WorkerCrashError
 from ..parallel.ordering import canonical_order, match_sort_key
-from ..parallel.partitioners import KeyPartitioner, WindowPartitioner
-from ..parallel.worker import EngineSpec, WorkerResult
+from ..parallel.partitioners import KeyPartitioner, SingleWorkerRouter
+from ..parallel.worker import WorkerResult
 from .faults import FaultingChannel
 from .protocol import (
     MSG_BATCH,
@@ -177,11 +178,7 @@ class WorkerPool:
         self._channels: Optional[List] = None
         self._init_payloads: Optional[List] = None
         self._epoch = 0
-        self._seedable = all(
-            isinstance(spec, EngineSpec) for spec in self._specs
-        )
         self._recovery_active = False
-        self._mode = "single"
         self._params: List[dict] = []
         self._unacked: List[Dict[int, list]] = []
         self._next_batch: List[int] = []
@@ -358,7 +355,7 @@ class WorkerPool:
             # Anything else is a stale reply from a previous run.
 
     # -- runs ----------------------------------------------------------------
-    def begin_run(self, mode: str, params: Sequence[dict]) -> None:
+    def begin_run(self, params: Sequence[dict]) -> None:
         with self._io_lock:
             self.start()
             self._epoch += 1
@@ -370,17 +367,8 @@ class WorkerPool:
                             break
                     except TransportDead:
                         break  # surfaces via _send below
-            self._mode = mode
             self._params = list(params)
-            # "any" (not "all"): a pool that degraded a shard to a local
-            # serial worker mid-stream keeps reseed recovery for the
-            # restartable workers that remain.
-            self._recovery_active = (
-                self.config.recovery == "reseed"
-                and mode == "single"
-                and self._seedable
-                and any(channel.restartable for channel in self._channels)
-            )
+            self._refresh_recovery()
             n = self.workers
             now = time.monotonic()
             self._unacked = [dict() for _ in range(n)]
@@ -742,14 +730,8 @@ class WorkerPool:
                 "next_probe": time.monotonic() + repromote,
                 "probes": 0,
             }
-        # A demoted serial/thread channel is not restartable; recovery
-        # stays active while any restartable channel remains.
-        self._recovery_active = (
-            self.config.recovery == "reseed"
-            and self._mode == "single"
-            and self._seedable
-            and any(channel.restartable for channel in self._channels)
-        )
+        # A demoted serial/thread channel is not restartable.
+        self._refresh_recovery()
 
     def _maybe_repromote(self, worker_id: int) -> None:
         """Half-open circuit breaker: when a demoted shard's probe
@@ -850,11 +832,15 @@ class WorkerPool:
         self._trace_event("shard_repromoted", worker_id, detail)
         # The restored socket channel is restartable again, so reseed
         # recovery resumes for it.
-        self._recovery_active = (
-            self.config.recovery == "reseed"
-            and self._mode == "single"
-            and self._seedable
-            and any(channel.restartable for channel in self._channels)
+        self._refresh_recovery()
+
+    def _refresh_recovery(self) -> None:
+        """Reseed recovery is on while the policy asks for it and any
+        channel is restartable — "any", not "all": a pool that degraded
+        a shard to a local serial worker keeps recovery for the
+        restartable workers that remain."""
+        self._recovery_active = self.config.recovery == "reseed" and any(
+            channel.restartable for channel in self._channels
         )
 
     def _await_pong(self, channel) -> None:
@@ -961,35 +947,8 @@ class Session:
 
     def __init__(self, executor) -> None:
         self._executor = executor
-        config = executor.config
-        if executor.partitioner_name == "query":
-            from ..parallel.partitioners import split_shared_plan
-            from ..parallel.worker import SharedSpec
-
-            sub_plans = split_shared_plan(executor._plan, executor.workers)
-            specs = [
-                SharedSpec(
-                    sub,
-                    max_kleene_size=executor._spec.max_kleene_size,
-                    indexed=executor._spec.indexed,
-                    compiled=executor._spec.compiled,
-                )
-                for sub in sub_plans
-            ]
-            relevant_sets = []
-            for sub in sub_plans:
-                types = set()
-                for root in sub.roots:
-                    types.update(t for _, t in root.decomposed.positives)
-                    types.update(
-                        spec.event_type for spec in root.decomposed.negations
-                    )
-                relevant_sets.append(types)
-            self._relevant_sets: Optional[List[set]] = relevant_sets
-        else:
-            specs = [executor._spec] * executor.workers
-            self._relevant_sets = None
-        self.pool = WorkerPool(specs, config, executor._window)
+        specs = [executor._spec] * executor.workers
+        self.pool = WorkerPool(specs, executor.config, executor._window)
         self.metrics: Optional[EngineMetrics] = None
         self.events_in = 0
         self.wall_seconds = 0.0
@@ -1001,14 +960,7 @@ class Session:
         the persistent pool (one streaming run fed in a single gulp)."""
         executor = self._executor
         started = time.perf_counter()
-        span = None
-        if executor.partitioner_name == "window":
-            span = (
-                executor.config.span
-                if executor.config.span is not None
-                else executor._auto_span(stream)
-            )
-        run = SessionStream(self, span=span)
+        run = SessionStream(self)
         matches = list(run.feed(stream))
         matches.extend(run.finish())
         self.metrics = run.metrics
@@ -1020,18 +972,9 @@ class Session:
             return group_by_query(executor._plan.query_names, matches)
         return matches
 
-    def stream(self, span: Optional[float] = None) -> "SessionStream":
+    def stream(self) -> "SessionStream":
         """Open an incremental streaming run (see :class:`SessionStream`)."""
-        executor = self._executor
-        if executor.partitioner_name == "window" and span is None:
-            span = executor.config.span
-            if span is None:
-                raise ParallelError(
-                    "streaming window partitioning needs an explicit "
-                    "ParallelConfig.span (an open-ended feed has no "
-                    "duration to derive the stride from)"
-                )
-        return SessionStream(self, span=span)
+        return SessionStream(self)
 
     @property
     def runtime_events(self) -> List[RuntimeEvent]:
@@ -1095,24 +1038,21 @@ class SessionStream:
       and unacked) — any future fresh match completes on an entry the
       worker has yet to process, whose seq is at least that; and
     * when patterns can defer matches (trailing negation's pending
-      matches; window slices), the first routed seq with
-      ``ts >= last_acked_ts - guard``: a pending match released in the
-      future has a deadline beyond the worker's acked time, and its
-      completion constituent lies within ``guard`` of that deadline
-      (``guard = W`` for single mode via the pending-deadline bound
-      ``deadline <= min_ts + W``; ``span + W`` for window slices whose
-      owned matches satisfy ``min_ts >= slice_lo``).
+      matches), the first routed seq with ``ts >= last_acked_ts - W``:
+      a pending match released in the future has a deadline beyond the
+      worker's acked time, and its completion constituent lies within
+      ``W`` of that deadline (the pending-deadline bound
+      ``deadline <= min_ts + W``).
+
+    Key partitioning excludes negation, so the guard only ever runs on
+    the one-worker runs of plans key routing cannot shard.
     """
 
-    def __init__(self, session: Session, span: Optional[float] = None) -> None:
+    def __init__(self, session: Session) -> None:
         self._session = session
         self._pool = session.pool
         executor = session._executor
         self._executor = executor
-        self._mode = executor.partitioner_name
-        self._window = executor._window
-        self._span = span
-        self._relevant = executor._relevant_types
         self._batch_size = executor.config.batch_size
         self._feeder: Optional[_PoolFeeder] = None
         self._partitioner = None
@@ -1131,12 +1071,9 @@ class SessionStream:
         self.frontier_lag = 0
         # Deferred-match guard (see class docstring); None disables the
         # timestamp term of the frontier.
-        if self._mode == "window":
-            self._guard: Optional[float] = None  # set once span is known
-        elif executor._has_negation:
-            self._guard = self._window
-        else:
-            self._guard = None
+        self._guard: Optional[float] = (
+            executor._window if executor._has_negation else None
+        )
         self._route_seqs: List[int] = []
         self._route_ts: List[float] = []
         self._arrivals: Dict[int, float] = {}
@@ -1167,51 +1104,21 @@ class SessionStream:
     def _feed_locked(
         self, events, arrivals: Optional[Sequence[float]]
     ) -> list:
-        mode = self._mode
-        relevant = self._relevant
-        track = self._guard is not None or self._mode == "window"
+        track = self._guard is not None
         for position, event in enumerate(events):
             self.events_in += 1
             if arrivals is not None:
                 self._arrivals[event.seq] = arrivals[position]
                 self._arrival_seqs.append(event.seq)
-            if mode == "key":
-                if not self._started:
-                    self._begin()
-                target = self._partitioner.route(event)
-                if target is None:
-                    continue
-                self.events_routed += 1
-                if track:
-                    self._note_routed(event)
-                self._feeder.emit(target, (0, event))
-            elif mode == "window":
-                if event.type not in relevant:
-                    continue
-                if not self._started:
-                    self._begin(first_ts=event.timestamp)
+            if not self._started:
+                self._begin()
+            target = self._partitioner.route(event)
+            if target is None:
+                continue
+            self.events_routed += 1
+            if track:
                 self._note_routed(event)
-                for slice_id in self._partitioner.slices_for(
-                    event.timestamp
-                ):
-                    self.events_routed += 1
-                    self._feeder.emit(
-                        self._partitioner.worker_of(slice_id),
-                        (slice_id, event),
-                    )
-            else:  # query
-                if not self._started:
-                    self._begin()
-                routed = False
-                for worker_id, types in enumerate(
-                    self._session._relevant_sets
-                ):
-                    if event.type in types:
-                        self.events_routed += 1
-                        routed = True
-                        self._feeder.emit(worker_id, (0, event))
-                if routed and track:
-                    self._note_routed(event)
+            self._feeder.emit(target, (0, event))
         if not self._started:
             return []
         self._feeder.flush()
@@ -1321,55 +1228,25 @@ class SessionStream:
         return self._detection
 
     # -- internals -----------------------------------------------------------
-    def _begin(self, first_ts: Optional[float] = None) -> None:
+    def _begin(self) -> None:
         executor = self._executor
-        if self._mode == "key":
+        if executor._routing is not None:
             self._partitioner = KeyPartitioner(
                 executor._routing, executor.workers
             )
-            params = [{"mode": "single"} for _ in range(executor.workers)]
-            run_mode = "single"
-        elif self._mode == "window":
-            if self._span is None:
-                raise ParallelError(
-                    "streaming window partitioning needs an explicit "
-                    "span"
-                )
-            partitioner = WindowPartitioner(
-                self._window, self._span, executor.workers
-            )
-            partitioner.start(first_ts)
-            self._partitioner = partitioner
-            self._guard = partitioner.span + self._window
-            params = [
-                {
-                    "mode": "window",
-                    "t0": first_ts,
-                    "span": partitioner.span,
-                    "window": partitioner.window,
-                }
-                for _ in range(executor.workers)
-            ]
-            run_mode = "window"
         else:
-            params = [{"mode": "single"} for _ in range(executor.workers)]
-            run_mode = "single"
+            self._partitioner = SingleWorkerRouter(executor._relevant_types)
+        params: dict = {}
         if getattr(executor.config, "trace", False):
             # Each worker grows its own Tracer; per-node counters come
             # back through epoch-free STATS polls.
-            for worker_params in params:
-                worker_params["trace"] = True
-        self._pool.begin_run(run_mode, params)
+            params["trace"] = True
+        self._pool.begin_run([params] * executor.workers)
         self._feeder = _PoolFeeder(self._pool, self._batch_size)
         self._started = True
 
     def _note_routed(self, event) -> None:
-        if self._guard is None and self._mode != "window":
-            return
-        seqs = self._route_seqs
-        if seqs and seqs[-1] == event.seq:
-            return
-        seqs.append(event.seq)
+        self._route_seqs.append(event.seq)
         self._route_ts.append(event.timestamp)
 
     def _frontier(self) -> float:

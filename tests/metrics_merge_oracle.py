@@ -62,10 +62,6 @@ def merge_oracle(
             self.matches_retracted + other.matches_retracted
         ),
         events_routed=self.events_routed + other.events_routed,
-        boundary_duplicates_dropped=(
-            self.boundary_duplicates_dropped
-            + other.boundary_duplicates_dropped
-        ),
         worker_count=self.worker_count + other.worker_count,
         selectivity_observations=(
             self.selectivity_observations + other.selectivity_observations

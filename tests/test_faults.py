@@ -65,6 +65,7 @@ from repro.service.transport import (
 )
 
 KEYED = "PATTERN SEQ(A a, B b, C c) WHERE a.k = b.k AND b.k = c.k WITHIN 1.5"
+THETA = "PATTERN SEQ(A a, B b, C c) WHERE a.v < b.v AND b.v < c.v WITHIN 0.9"
 
 import random as _random
 
@@ -256,52 +257,79 @@ class TestChaosMatrixProcesses:
         assert metrics.worker_crashes == 0
         assert events == []
 
-    def test_window_partition_crash_is_a_typed_error(self):
-        # Window partitioning runs outside the reseed protocol (window
-        # slices are not a replayable single-engine log), so a mid-run
-        # crash must surface as the typed error — never a hang, never
-        # silent data loss.
+    def test_single_worker_kill_recovers_byte_identically(self):
+        # A theta pattern has no routing key, so the pool runs it on one
+        # process worker; a kill after acks landed reseeds that worker
+        # from the acked window log like any keyed shard.
         stream = mixed_stream(223, count=300)
-        planned = plans_for(KEYED, stream)
-        plan = FaultPlan(seed=8).kill_worker(0, at_batch=2)
-        config = chaos_config(
-            "processes", plan, partitioner="window", span=3.0
+        planned = plans_for(THETA, stream)
+        plan = FaultPlan(seed=8).kill_worker(0, at_batch=10)
+        records, metrics, events = run_chaos(
+            planned,
+            stream,
+            chaos_config("processes", plan, partitioner="auto", batch_size=8),
         )
-        with ParallelExecutor(planned, config) as executor:
-            run = executor.session().stream()
-            with pytest.raises(WorkerCrashError, match="died mid-stream"):
-                run.feed(list(stream))
-                run.finish()
+        assert records == serial_records(planned, stream)
+        assert plan.pending == []
+        assert metrics.worker_count == 1
+        assert metrics.worker_reseeds >= 1
+        assert any(isinstance(event, WorkerReseeded) for event in events)
 
-    def test_query_partition_crash_is_a_typed_error(self):
-        # Query partitioning ships SharedSpec sub-plans, which the
-        # reseed path does not cover — same contract: typed error.
+
+class TestSharedPlanRecovery:
+    """A shared-plan pool reseeds like a single-pattern one."""
+
+    WORKLOAD = (
+        "PATTERN SEQ(A a, B b) WHERE a.k = b.k WITHIN 1.5",
+        "PATTERN SEQ(B p, C q) WHERE p.k = q.k WITHIN 1.5",
+        "PATTERN SEQ(A x, C y) WHERE x.k = y.k WITHIN 1.5",
+    )
+
+    def shared_plan(self):
         from repro import plan_workload
         from repro.multiquery import Workload
         from repro.stats import StatisticsCatalog
 
-        stream = mixed_stream(227, count=300)
-        workload = Workload.of(
-            "PATTERN SEQ(A a, B b) WHERE a.k = b.k WITHIN 1.5",
-            "PATTERN SEQ(B p, C q) WHERE p.k = q.k WITHIN 1.5",
-            "PATTERN SEQ(A x, C y) WHERE x.k = y.k WITHIN 1.5",
-        )
+        workload = Workload.of(*self.WORKLOAD)
         catalogs = {
             name: StatisticsCatalog(
                 {t: 1.0 for t in pattern.variable_types().values()}
             )
             for name, pattern in workload.items()
         }
-        shared = plan_workload(workload, catalogs)
-        plan = FaultPlan(seed=9).kill_worker(0, at_batch=2)
-        config = chaos_config(
-            "processes", plan, partitioner="query", batch_size=8
+        return plan_workload(workload, catalogs)
+
+    @pytest.mark.parametrize("seed", (227, 229, 233, 239))
+    @pytest.mark.parametrize("cut", (100, 200, 300))
+    def test_keyed_shared_spec_pool_reseeds_exactly(self, seed, cut):
+        from repro.multiquery.executor import group_by_query
+
+        stream = mixed_stream(seed, count=400)
+        shared = self.shared_plan()
+        expected = build_engines(shared).run(stream)
+        config = ParallelConfig(
+            workers=2, backend="processes", batch_size=8, recovery="reseed"
         )
         with ParallelExecutor(shared, config) as executor:
+            assert executor.partitioner_name == "key"
             run = executor.session().stream()
-            with pytest.raises(WorkerCrashError, match="died mid-stream"):
-                run.feed(list(stream))
-                run.finish()
+            events = list(stream)
+            out = list(run.feed(events[:cut]))
+            # Settle first: a kill before any ack only resends batches
+            # and never reaches the reseed path.
+            out.extend(run.settle())
+            channel = executor.session().pool._channels[0]
+            channel._process.kill()
+            channel._process.join()
+            out.extend(run.feed(events[cut:]))
+            out.extend(run.finish())
+            assert run.metrics.worker_reseeds >= 1
+        got = group_by_query(shared.query_names, out)
+        assert set(got) == set(expected)
+        for query, matches in expected.items():
+            assert match_records(got[query]) == match_records(
+                canonical_order(matches)
+            )
 
 
 class TestChaosMatrixSocket:

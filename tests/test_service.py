@@ -97,7 +97,7 @@ class TestWorkerProtocol:
     def test_stale_epoch_batches_are_dropped_without_ack(self):
         stream = mixed_stream(3, count=60)
         state = self.runner_state(stream)
-        state.handle((MSG_RESET, 2, {"mode": "single"}))
+        state.handle((MSG_RESET, 2, {}))
         entries = [(0, event) for event in stream]
         assert state.handle((MSG_BATCH, 1, 0, entries)) == []  # stale
         (reply,) = state.handle((MSG_BATCH, 2, 0, entries))
@@ -108,7 +108,7 @@ class TestWorkerProtocol:
     def test_finish_at_wrong_epoch_is_an_error(self):
         stream = mixed_stream(3, count=20)
         state = self.runner_state(stream)
-        state.handle((MSG_RESET, 5, {"mode": "single"}))
+        state.handle((MSG_RESET, 5, {}))
         with pytest.raises(RuntimeError, match="epoch"):
             state.handle((MSG_FINISH, 4))
 
@@ -116,7 +116,7 @@ class TestWorkerProtocol:
         stream = mixed_stream(11, count=200)
         planned = plans_for(KEYED, stream)
         state = self.runner_state(stream)
-        state.handle((MSG_RESET, 1, {"mode": "single"}))
+        state.handle((MSG_RESET, 1, {}))
         events = list(stream)
         collected = []
         for start in (0, 100):
@@ -341,29 +341,19 @@ class TestSocketFraming:
 
 class TestStreamingFrontier:
     @pytest.mark.parametrize(
-        "text,partitioner,span",
-        (
-            (KEYED, "key", None),
-            (THETA, "window", 0.5),
-            (NEG_TRAIL, "window", 0.7),
-        ),
-        ids=("key", "window-theta", "window-negation"),
+        "text,workers",
+        ((KEYED, 3), (THETA, 1), (NEG_TRAIL, 1)),
+        ids=("key", "single-theta", "single-negation"),
     )
     def test_incremental_feed_is_byte_identical_and_ordered(
-        self, text, partitioner, span
+        self, text, workers
     ):
         stream = mixed_stream(43, count=400)
         planned = plans_for(text, stream)
         expected = serial_records(planned, stream)
         with ParallelExecutor(
             planned,
-            ParallelConfig(
-                workers=3,
-                partitioner=partitioner,
-                backend="threads",
-                batch_size=16,
-                span=span,
-            ),
+            ParallelConfig(workers=3, backend="threads", batch_size=16),
         ) as executor:
             run = executor.session().stream()
             events = list(stream)
@@ -377,26 +367,13 @@ class TestStreamingFrontier:
             # emission order IS canonical order (no trailing re-sort).
             if len(out) > 10:
                 assert early > 0
-            assert run.metrics.worker_count == 3
-
-    def test_streaming_without_span_needs_explicit_config(self):
-        stream = mixed_stream(47, count=50)
-        planned = plans_for(THETA, stream)
-        with ParallelExecutor(
-            planned,
-            ParallelConfig(workers=2, partitioner="window", backend="serial"),
-        ) as executor:
-            with pytest.raises(ParallelError, match="span"):
-                executor.session().stream()
+            assert run.metrics.worker_count == workers
 
     def test_empty_streaming_run_finishes_clean(self):
         stream = mixed_stream(53, count=50)
         planned = plans_for(THETA, stream)
         with ParallelExecutor(
-            planned,
-            ParallelConfig(
-                workers=2, partitioner="window", backend="serial", span=0.5
-            ),
+            planned, ParallelConfig(workers=2, backend="serial")
         ) as executor:
             run = executor.session().stream()
             assert run.finish() == []
@@ -446,30 +423,36 @@ class TestCrashRecovery:
                 run.feed(events[200:])
                 run.finish()
 
-    def test_window_mode_crash_is_typed_even_with_reseed(self):
-        # Window slices cannot reseed (snapshots are single-engine);
-        # the crash must surface as the typed error, not hang or lose
-        # matches silently.
+    @pytest.mark.parametrize(
+        "text", (THETA, NEG_TRAIL), ids=("theta", "negation")
+    )
+    def test_single_worker_run_reseeds_exactly(self, text):
+        # A plan key routing cannot shard runs on one process worker;
+        # killing it after acks landed must rebuild the engine from the
+        # acked window log (pending negation matches included) and
+        # reproduce the serial run byte for byte.
         stream = mixed_stream(67, count=400)
-        planned = plans_for(THETA, stream)
+        planned = plans_for(text, stream)
+        expected = serial_records(planned, stream)
         with ParallelExecutor(
             planned,
             ParallelConfig(
                 workers=2,
-                partitioner="window",
                 backend="processes",
                 batch_size=32,
                 recovery="reseed",
-                span=0.5,
             ),
         ) as executor:
             run = executor.session().stream()
             events = list(stream)
-            run.feed(events[:200])
+            out = list(run.feed(events[:200]))
+            out.extend(run.settle())
             self.kill_one_worker(executor.session())
-            with pytest.raises(WorkerCrashError):
-                run.feed(events[200:])
-                run.finish()
+            out.extend(run.feed(events[200:]))
+            out.extend(run.finish())
+            assert match_records(out) == expected
+            assert run.metrics.worker_count == 1
+            assert run.metrics.worker_reseeds >= 1
 
     def test_crash_after_all_acks_recovers_via_window_log(self):
         # Kill after the whole stream is acked but before FINISH: the
