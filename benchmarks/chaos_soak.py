@@ -6,7 +6,9 @@ random batch positions — runs the keyed workload through the process
 and socket backends under that schedule, plus a keyed three-query
 shared plan through the process backend, and asserts the recovered
 output is byte-identical to the interpreted single-threaded run (per
-query for the shared plan).  The
+query for the shared plan).  The soak also fails unless the keyed
+process entry recovers through the snapshot reseed
+(``worker_reseeds >= 1``) in at least one round.  The
 machine-readable fault log of every firing is written to
 ``benchmarks/results/chaos_soak.json`` (the artifact CI uploads), so a
 failing seed is replayable verbatim: the same seed composes the same
@@ -25,6 +27,7 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 from repro import (
     FaultPlan,
@@ -159,20 +162,22 @@ def disorder_round(planned, stream, seed: int) -> dict:
     }
 
 
-def chaos_run(planned, stream, config, settle: bool = False) -> list:
-    """Feed the stream in two halves under ``config``'s fault plan.
+def chaos_run(planned, stream, config, settle_at: Optional[int] = None) -> list:
+    """Feed the stream in two parts under ``config``'s fault plan.
 
-    ``settle`` waits for every ack of the first half before the second:
-    a fault that fires after it finds an acked window log, so recovery
-    goes through the snapshot reseed rather than a bare batch resend.
+    ``settle_at`` feeds that many events first and waits for every ack
+    of them before the rest: a fault that fires after it finds an acked
+    window log, so recovery goes through the snapshot reseed rather than
+    a bare batch resend.  Without it, two halves go back to back.
     """
     with ParallelExecutor(planned, config) as executor:
         run = executor.session().stream()
         events = list(stream)
-        out = list(run.feed(events[: len(events) // 2]))
-        if settle:
+        split = len(events) // 2 if settle_at is None else settle_at
+        out = list(run.feed(events[:split]))
+        if settle_at is not None:
             out.extend(run.settle())
-        out.extend(run.feed(events[len(events) // 2:]))
+        out.extend(run.feed(events[split:]))
         out.extend(run.finish())
         return match_records(out), run.metrics
 
@@ -224,11 +229,18 @@ def soak(rounds: int, events: int, seed: int) -> dict:
         round_seed = seed * 1_000 + round_id
         entry = {"round": round_id, "seed": round_seed, "backends": {}}
 
-        # Process backend: no server faults (no server to crash).
+        # Process backend: no server faults (no server to crash).  It
+        # settles after one batch's worth of events, so each worker's
+        # batch 0 is acked before any fault (they fire at batch >= 1)
+        # and a kill recovers through the snapshot reseed (checked
+        # below).
         plan = compose_plan(round_seed, max_batch=5, server_faults=False)
         started = time.perf_counter()
         records, metrics = chaos_run(
-            planned, stream, ParallelConfig(backend="processes", fault_plan=plan, **base)
+            planned,
+            stream,
+            ParallelConfig(backend="processes", fault_plan=plan, **base),
+            settle_at=base["batch_size"],
         )
         entry["backends"]["processes"] = {
             "identical": records == expected,
@@ -250,7 +262,7 @@ def soak(rounds: int, events: int, seed: int) -> dict:
             shared,
             stream,
             ParallelConfig(backend="processes", fault_plan=plan, **base),
-            settle=True,
+            settle_at=base["batch_size"],
         )
         entry["backends"]["shared"] = {
             "identical": by_query(records) == shared_expected,
@@ -322,6 +334,13 @@ def soak(rounds: int, events: int, seed: int) -> dict:
         if not disorder["identical"]:
             report["failures"] += 1
         report["rounds"].append(entry)
+    # Reseed coverage: identity after a bare batch resend says nothing
+    # about the snapshot reseed, so the single-pattern process entry
+    # must exercise it in at least one round.
+    report["processes_reseeded"] = any(
+        entry["backends"]["processes"]["counters"]["worker_reseeds"] >= 1
+        for entry in report["rounds"]
+    )
     return report
 
 
@@ -339,6 +358,13 @@ def main(argv=None) -> int:
     print(f"\nfault log artifact: {artifact}")
     if report["failures"]:
         print(f"{report['failures']} round(s) DIVERGED", file=sys.stderr)
+        return 1
+    if not report["processes_reseeded"]:
+        print(
+            "the processes entry never reached the snapshot reseed "
+            "(worker_reseeds = 0 in every round)",
+            file=sys.stderr,
+        )
         return 1
     print(f"all {args.rounds} round(s) byte-identical after recovery")
     return 0

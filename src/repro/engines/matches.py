@@ -22,9 +22,13 @@ Binding = Union[Event, tuple]
 
 
 class PartialMatch:
-    """An immutable set of variable bindings with window bookkeeping."""
+    """An immutable set of variable bindings with window bookkeeping.
 
-    __slots__ = ("bindings", "trigger_seq", "min_ts", "max_ts")
+    ``home`` is its liveness in the one store holding it: None until
+    inserted, then its bucket key per index, ``False`` once removed.
+    """
+
+    __slots__ = ("bindings", "trigger_seq", "min_ts", "max_ts", "home")
 
     def __init__(
         self,
@@ -37,6 +41,7 @@ class PartialMatch:
         self.trigger_seq = trigger_seq
         self.min_ts = min_ts
         self.max_ts = max_ts
+        self.home = None
 
     @classmethod
     def singleton(cls, variable: str, event: Event) -> "PartialMatch":

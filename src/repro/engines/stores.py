@@ -40,16 +40,20 @@ earlier-trigger discipline (see :mod:`repro.engines.matches`) therefore
 becomes a ``bisect`` range bound rather than a per-element ``if``.
 
 Removal (window expiry from the sorted run, consumed-event purges,
-restrictive-strategy instance drops) is tombstone-based: dead entries
-are skipped on iteration via a live-id set and physically reclaimed by
-occasional compaction, so no removal rebuilds the store.  Reclaim runs
-at two granularities: a global rebuild once tombstones outnumber live
-entries store-wide, and a **per-bucket sweep** — each removal is also
-charged to the hash bucket holding it, and a probe that finds its
-bucket at least half dead filters that one bucket in place.  The sweep
-is what keeps long-lived service sessions flat: a hot key whose
-entries continually expire pays its probe cost on the live entries,
-not on the accumulated history.
+restrictive-strategy instance drops) is tombstone-based.  Each entry
+carries its own liveness in :attr:`PartialMatch.home`: the bucket key it
+was filed under in every index, set at insert and cleared to ``False``
+when it dies.  Iteration skips dead entries by reading that slot, and
+the stored keys say which buckets each death is charged to — no key or
+theta value is recomputed after insert.  Reclaim runs at two
+granularities: a store-wide compaction once tombstones outnumber live
+entries, which filters every run and bucket in place (insertion serials
+keep their relative order, so nothing is re-filed) and drops emptied
+buckets; and a **per-bucket sweep** — a probe that finds its bucket at
+least half dead filters that one bucket in place.  The sweep is what
+keeps long-lived service sessions flat: a hot key whose entries
+continually expire pays its probe cost on the live entries, not on the
+accumulated history.
 
 Leaf stores remain the cost-model buffers: a tree leaf contributes
 ``PM(l) = W * r_i`` (Section 4.2), and that accounting is unchanged —
@@ -60,6 +64,7 @@ never which instances are live.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..patterns.predicates import Attr, Comparison, Predicate, TimestampOrder
@@ -227,11 +232,14 @@ def make_key_fn(spec: KeySpec, kleene: Iterable[str] = ()) -> Optional[KeyFn]:
         return None
     kleene_set = frozenset(kleene)
     if not any(variable in kleene_set for variable, _ in spec):
-
-        def key_of(bindings: dict, _spec: KeySpec = spec) -> tuple:
-            return tuple(bindings[v][attr] for v, attr in _spec)
-
-        return key_of
+        # One- and two-item keys (nearly every plan) skip the generator.
+        if len(spec) == 1:
+            ((v0, a0),) = spec
+            return lambda bindings: (bindings[v0][a0],)
+        if len(spec) == 2:
+            (v0, a0), (v1, a1) = spec
+            return lambda bindings: (bindings[v0][a0], bindings[v1][a1])
+        return lambda bindings: tuple(bindings[v][a] for v, a in spec)
     items = tuple(
         (variable, attr, variable in kleene_set) for variable, attr in spec
     )
@@ -254,11 +262,13 @@ def make_event_key_fn(spec: KeySpec) -> Optional[Callable[[object], tuple]]:
     if not spec:
         return None
     attrs = tuple(attr for _, attr in spec)
-
-    def key_of(event, _attrs: tuple = attrs) -> tuple:
-        return tuple(event[a] for a in _attrs)
-
-    return key_of
+    if len(attrs) == 1:
+        (a0,) = attrs
+        return lambda event: (event[a0],)
+    if len(attrs) == 2:
+        a0, a1 = attrs
+        return lambda event: (event[a0], event[a1])
+    return lambda event: tuple(event[a] for a in attrs)
 
 
 #: One extracted theta access path: ``(left_item, left_op, right_item,
@@ -425,6 +435,25 @@ class _Bucket:
         # sweeps them out physically instead of skipping them forever.
         self.dead = 0
 
+    def sweep(self) -> None:
+        """Physically drop the bucket's tombstones; live entries, their
+        order and every probe's candidate set are unchanged.  Lists are
+        replaced, not mutated, so an iterator over a slice keeps it."""
+        self.pms = keep = [pm for pm in self.pms if pm.home is not False]
+        self.trigs = [pm.trigger_seq for pm in keep]
+        if self.rvals is not None:
+            kept = [
+                (value, entry)
+                for value, entry in zip(self.rvals, self.rentries)
+                if entry[1].home is not False
+            ]
+            self.rvals = [value for value, _ in kept]
+            self.rentries = [entry for _, entry in kept]
+            self.runordered = [
+                entry for entry in self.runordered if entry[1].home is not False
+            ]
+        self.dead = 0
+
 
 class _Index:
     """One access path over a store: hash buckets (``key_of``), an
@@ -454,7 +483,9 @@ class _Index:
         self.overflow_trigs: List[int] = []
         self.overflow_ins: List[int] = []
 
-    def add(self, pm: PartialMatch, ins: int) -> None:
+    def add(self, pm: PartialMatch, ins: int) -> Optional[tuple]:
+        """File ``pm`` under its key; returns that key, or None when the
+        entry has no bucket (missing attribute, unhashable overflow)."""
         if self.key_of is None:
             key = ()
         else:
@@ -464,7 +495,7 @@ class _Index:
                 # Missing attribute: the equality predicate evaluates
                 # False against every probe, so the entry is unreachable
                 # through this index and needs no bucket.
-                return
+                return None
         try:
             bucket = self.buckets.get(key)
         except TypeError:
@@ -473,34 +504,38 @@ class _Index:
             self.overflow.append(pm)
             self.overflow_trigs.append(pm.trigger_seq)
             self.overflow_ins.append(ins)
-            return
+            return None
         if bucket is None:
             bucket = self.buckets[key] = _Bucket(self.value_of is not None)
         bucket.pms.append(pm)
         bucket.trigs.append(pm.trigger_seq)
         if self.value_of is not None:
             self._add_to_run(bucket, pm, ins)
+        return key
 
-    def bucket_of(self, pm: PartialMatch) -> Optional[_Bucket]:
-        """The bucket holding ``pm``, or None (overflow entries and
-        missing-attribute entries have no bucket to clean)."""
-        if self.key_of is None:
-            key = ()
-        else:
-            try:
-                key = self.key_of(pm.bindings)
-            except KeyError:
-                return None
-        try:
-            return self.buckets.get(key)
-        except TypeError:
-            return None
-
-    def note_dead(self, pm: PartialMatch) -> None:
-        """Record that a tombstoned entry sits in one of our buckets."""
-        bucket = self.bucket_of(pm)
-        if bucket is not None:
-            bucket.dead += 1
+    def compact(self) -> None:
+        """Sweep every bucket holding tombstones, drop the emptied ones,
+        and filter the overflow.  Insertion serials keep their relative
+        order, so no entry is re-filed."""
+        buckets = self.buckets
+        emptied = []
+        for key, bucket in buckets.items():
+            if bucket.dead:
+                bucket.sweep()
+            if not bucket.pms:
+                emptied.append(key)
+        for key in emptied:
+            del buckets[key]
+        if self.overflow:
+            kept = [
+                entry
+                for entry in zip(self.overflow, self.overflow_trigs,
+                                 self.overflow_ins)
+                if entry[0].home is not False
+            ]
+            self.overflow = [pm for pm, _, _ in kept]
+            self.overflow_trigs = [trig for _, trig, _ in kept]
+            self.overflow_ins = [ins for _, _, ins in kept]
 
     def _add_to_run(self, bucket: _Bucket, pm: PartialMatch, ins: int) -> None:
         try:
@@ -530,12 +565,15 @@ class PartialMatchStore:
     which makes every run binary-searchable by ``trigger_seq``.  The
     expiry run is kept sorted by ``min_ts`` so window expiry is a
     watermark check plus a bisected prefix drop.
+
+    An entry belongs to exactly one store: :meth:`insert` claims its
+    :attr:`~PartialMatch.home` slot, and removal marks it ``False``.
     """
 
     __slots__ = (
         "_pms",
         "_trigs",
-        "_ids",
+        "_live",
         "_dead",
         "_ins",
         "_indexes",
@@ -554,7 +592,7 @@ class PartialMatchStore:
     ) -> None:
         self._pms: List[PartialMatch] = []  # primary run, trigger order
         self._trigs: List[int] = []
-        self._ids: set = set()  # id() of live entries
+        self._live = 0  # live entries
         self._dead = 0  # tombstones awaiting compaction
         self._ins = 0  # insertion serial (orders range candidates)
         self._indexes: List[_Index] = []
@@ -597,13 +635,18 @@ class PartialMatchStore:
 
     # -- mutation -----------------------------------------------------------
     def insert(self, pm: PartialMatch) -> None:
+        if pm.home is not None:
+            raise ValueError(f"{pm!r} was already inserted into a store")
         self._pms.append(pm)
         self._trigs.append(pm.trigger_seq)
-        self._ids.add(id(pm))
         ins = self._ins
         self._ins = ins + 1
-        for index in self._indexes:
-            index.add(pm, ins)
+        indexes = self._indexes
+        if len(indexes) == 1:  # the common case, without the list
+            pm.home = (indexes[0].add(pm, ins),)
+        else:
+            pm.home = tuple([index.add(pm, ins) for index in indexes])
+        self._live += 1
         min_ts = pm.min_ts
         position = bisect_left(self._exp_ts, min_ts)
         self._exp_ts.insert(position, min_ts)
@@ -612,6 +655,13 @@ class PartialMatchStore:
         held.partial_matches += 1
         if min_ts < held.oldest:
             held.oldest = min_ts
+
+    def _bury(self, pm: PartialMatch) -> None:
+        """Tombstone one live entry and charge the buckets holding it."""
+        for index, key in zip(self._indexes, pm.home):
+            if key is not None:
+                index.buckets[key].dead += 1
+        pm.home = False
 
     def expire(self, cutoff: float) -> int:
         """Drop entries with ``min_ts < cutoff``; returns how many died.
@@ -624,15 +674,14 @@ class PartialMatchStore:
         expired = 0
         if exp_ts and exp_ts[0] < cutoff:
             boundary = bisect_left(exp_ts, cutoff)
-            ids = self._ids
+            bury = self._bury
             for pm in self._exp_pms[:boundary]:
-                key = id(pm)
-                if key in ids:
-                    ids.remove(key)
+                if pm.home is not False:
+                    bury(pm)
                     expired += 1
-                    self._note_dead(pm)
             del exp_ts[:boundary]
             del self._exp_pms[:boundary]
+            self._live -= expired
             self._dead += expired
             self.holdings.partial_matches -= expired
             if self.metrics is not None:
@@ -644,21 +693,21 @@ class PartialMatchStore:
         return expired
 
     def discard(self, pm: PartialMatch) -> None:
-        """Remove one entry by identity (restrictive-strategy advance)."""
-        key = id(pm)
-        if key in self._ids:
-            self._ids.remove(key)
+        """Tombstone one entry unless already dead (restrictive-strategy
+        advance)."""
+        if pm.home is not False:
+            self._bury(pm)
+            self._live -= 1
             self._dead += 1
             self.holdings.partial_matches -= 1
-            self._note_dead(pm)
             self._maybe_compact()
 
     def purge_seqs(self, seqs: frozenset) -> int:
         """Tombstone every entry using one of the consumed events."""
         dead = [pm for pm in self if pm.event_seqs() & seqs]
         for pm in dead:
-            self._ids.remove(id(pm))
-            self._note_dead(pm)
+            self._bury(pm)
+        self._live -= len(dead)
         self._dead += len(dead)
         self.holdings.partial_matches -= len(dead)
         self._maybe_compact()
@@ -666,21 +715,19 @@ class PartialMatchStore:
 
     # -- access -------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ids)
+        return self._live
 
     def __iter__(self) -> Iterator[PartialMatch]:
         """Live entries in insertion (trigger) order."""
-        ids = self._ids
         for pm in self._pms:
-            if id(pm) in ids:
+            if pm.home is not False:
                 yield pm
 
     def iter_before(self, trigger_seq: int) -> Iterator[PartialMatch]:
         """Live entries with ``trigger_seq`` strictly below the bound."""
         boundary = bisect_left(self._trigs, trigger_seq)
-        ids = self._ids
         for pm in self._pms[:boundary]:
-            if id(pm) in ids:
+            if pm.home is not False:
                 yield pm
 
     def probe(
@@ -726,46 +773,24 @@ class PartialMatchStore:
                 metrics.index_misses += 1
             else:
                 metrics.index_hits += 1
-        if (
-            bucket is not None
-            and bucket.dead >= _BUCKET_MIN_DEAD
-            and bucket.dead * 2 >= len(bucket.pms)
-        ):
-            self._sweep_bucket(bucket)
-        ids = self._ids
-        if (
-            bucket is not None
-            and index.value_of is not None
-            and bound is not NO_BOUND
-        ):
+        if bucket is None:
+            if index.overflow:
+                boundary = bisect_left(index.overflow_trigs, trigger_seq)
+                for pm in index.overflow[:boundary]:
+                    if pm.home is not False:
+                        yield pm
+            return
+        if bucket.dead >= _BUCKET_MIN_DEAD and bucket.dead * 2 >= len(bucket.pms):
+            bucket.sweep()
+        if index.value_of is not None and bound is not NO_BOUND:
             yield from self._range_candidates(
                 index, bucket, trigger_seq, bound, on_excluded
             )
-            return
-        if bucket is not None:
-            pms, trigs = bucket.pms, bucket.trigs
-            boundary = bisect_left(trigs, trigger_seq)
-            if index.overflow:
-                # Rare path: merge the bucket with the unhashable-key
-                # overflow in trigger order so "first candidate"
-                # semantics (restrictive strategies) stay exact.
-                over = index.overflow[
-                    : bisect_left(index.overflow_trigs, trigger_seq)
-                ]
-                merged = sorted(
-                    pms[:boundary] + over, key=lambda p: p.trigger_seq
-                )
-                for pm in merged:
-                    if id(pm) in ids:
-                        yield pm
-                return
-            for pm in pms[:boundary]:
-                if id(pm) in ids:
-                    yield pm
         elif index.overflow:
-            boundary = bisect_left(index.overflow_trigs, trigger_seq)
-            for pm in index.overflow[:boundary]:
-                if id(pm) in ids:
+            yield from self._bucket_scan(index, bucket, trigger_seq)
+        else:  # the hot path, inlined
+            for pm in bucket.pms[: bisect_left(bucket.trigs, trigger_seq)]:
+                if pm.home is not False:
                     yield pm
 
     def _range_candidates(
@@ -783,32 +808,28 @@ class PartialMatchStore:
             return
         if metrics is not None:
             metrics.range_probes += 1
-        ids = self._ids
         candidates = [
             entry
             for entry in bucket.rentries[lo:hi]
-            if entry[1].trigger_seq < trigger_seq and id(entry[1]) in ids
+            if entry[1].trigger_seq < trigger_seq
+            and entry[1].home is not False
         ]
         if on_excluded is not None:
             eligible = sum(
                 1
                 for entry in bucket.rentries
                 if entry[1].trigger_seq < trigger_seq
-                and id(entry[1]) in ids
+                and entry[1].home is not False
             )
             if eligible > len(candidates):
                 on_excluded(eligible - len(candidates))
-        for extra in (bucket.runordered, None):
-            # Unorderable stored values, then unhashable-key overflow:
-            # both conservative supersets that must stay probe-visible.
-            entries = (
-                extra
-                if extra is not None
-                else zip(index.overflow_ins, index.overflow)
-            )
-            for ins, pm in entries:
-                if pm.trigger_seq < trigger_seq and id(pm) in ids:
-                    candidates.append((ins, pm))
+        # Unorderable stored values, then unhashable-key overflow: both
+        # conservative supersets that must stay probe-visible.
+        for ins, pm in chain(
+            bucket.runordered, zip(index.overflow_ins, index.overflow)
+        ):
+            if pm.trigger_seq < trigger_seq and pm.home is not False:
+                candidates.append((ins, pm))
         candidates.sort(key=lambda entry: entry[0])
         if metrics is not None and candidates:
             metrics.range_hits += 1
@@ -818,83 +839,42 @@ class PartialMatchStore:
     def _bucket_scan(
         self, index: _Index, bucket: _Bucket, trigger_seq: int
     ) -> Iterator[PartialMatch]:
-        ids = self._ids
-        boundary = bisect_left(bucket.trigs, trigger_seq)
+        candidates = bucket.pms[: bisect_left(bucket.trigs, trigger_seq)]
         if index.overflow:
+            # Rare path: merge the bucket with the unhashable-key
+            # overflow in trigger order so "first candidate" semantics
+            # (restrictive strategies) stay exact.
             over = index.overflow[
                 : bisect_left(index.overflow_trigs, trigger_seq)
             ]
-            merged = sorted(
-                bucket.pms[:boundary] + over, key=lambda p: p.trigger_seq
+            candidates = sorted(
+                candidates + over, key=lambda p: p.trigger_seq
             )
-            for pm in merged:
-                if id(pm) in ids:
-                    yield pm
-            return
-        for pm in bucket.pms[:boundary]:
-            if id(pm) in ids:
+        for pm in candidates:
+            if pm.home is not False:
                 yield pm
 
     # -- housekeeping --------------------------------------------------------
-    def _note_dead(self, pm: PartialMatch) -> None:
-        for index in self._indexes:
-            index.note_dead(pm)
-
-    def _sweep_bucket(self, bucket: _Bucket) -> None:
-        """Physically drop a bucket's tombstones (probe-time, amortized).
-
-        Purely physical: live entries, their relative order, and every
-        probe's candidate set are unchanged — only the skipped-over dead
-        entries disappear.  Runs when a probe finds the bucket at least
-        half dead, so a hot key whose entries churn (expire, get
-        consumed) stops paying for its whole history on every probe even
-        while the store as a whole stays below the global compaction
-        threshold.
-        """
-        ids = self._ids
-        keep = [pm for pm in bucket.pms if id(pm) in ids]
-        bucket.pms = keep
-        bucket.trigs = [pm.trigger_seq for pm in keep]
-        if bucket.rvals is not None:
-            kept = [
-                (value, entry)
-                for value, entry in zip(bucket.rvals, bucket.rentries)
-                if id(entry[1]) in ids
-            ]
-            bucket.rvals = [value for value, _ in kept]
-            bucket.rentries = [entry for _, entry in kept]
-            bucket.runordered = [
-                entry for entry in bucket.runordered if id(entry[1]) in ids
-            ]
-        bucket.dead = 0
-
     def _maybe_compact(self) -> None:
-        if self._dead < _COMPACT_MIN_DEAD or self._dead <= len(self._ids):
+        if self._dead < _COMPACT_MIN_DEAD or self._dead <= self._live:
             return
-        ids = self._ids
-        self._pms = [pm for pm in self._pms if id(pm) in ids]
-        self._trigs = [pm.trigger_seq for pm in self._pms]
+        # Filtered copies, not in-place edits: an iterator over the old
+        # primary run (a caller mid-scan) keeps its view.
+        self._pms = pms = [pm for pm in self._pms if pm.home is not False]
+        self._trigs = [pm.trigger_seq for pm in pms]
         keep = [
             (ts, pm)
             for ts, pm in zip(self._exp_ts, self._exp_pms)
-            if id(pm) in ids
+            if pm.home is not False
         ]
         self._exp_ts = [ts for ts, _ in keep]
         self._exp_pms = [pm for _, pm in keep]
-        # Rebuild every access path from the compacted primary run; the
-        # fresh insertion serials (0..n-1) preserve relative order.
         for index in self._indexes:
-            index.buckets = {}
-            index.overflow = []
-            index.overflow_trigs = []
-            index.overflow_ins = []
-            for position, pm in enumerate(self._pms):
-                index.add(pm, position)
-        self._ins = len(self._pms)
+            index.compact()
         self._dead = 0
 
     def __repr__(self) -> str:
         return (
-            f"PartialMatchStore({len(self._ids)} live, "
+            f"PartialMatchStore({self._live} live, "
             f"{len(self._indexes)} indexes, {self._dead} tombstones)"
         )

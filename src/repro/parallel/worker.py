@@ -2,7 +2,7 @@
 
 A worker — whether an OS process, a thread, or the caller's own frame
 (serial backend) — receives a :class:`WorkerTask` describing the engine
-it hosts and a sequence of ``(0, event)`` entries, and returns a
+it hosts and a sequence of events, and returns a
 :class:`WorkerResult`.  All three backends run this exact code path;
 the process backend additionally crosses a pickle boundary, which is
 why specs ship plans as :func:`repro.plans.planned_to_dict` dicts
@@ -13,13 +13,12 @@ plan dicts and shared-plan DAGs do.
 
 Every worker hosts one engine: key partitioning sends each match wholly
 into one shard, and a plan it cannot shard runs on a single worker.
-The leading ``0`` of an entry is the wire format's engine key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..engines.factory import build_engine_from_parts
 from ..engines.matches import Match
@@ -155,7 +154,7 @@ class TaskRunner:
         """Rebuild the engine from a window event log.
 
         The session layer's crash recovery: the driver keeps the acked
-        entries still inside the window and, after restarting a dead
+        events still inside the window and, after restarting a dead
         worker, replays them through a fresh engine via the
         :meth:`~repro.engines.base.BaseEngine.seed_from` machinery —
         matches re-derived during the replay were already delivered in
@@ -192,14 +191,14 @@ class TaskRunner:
         self._matches = []
         return out
 
-    def feed(self, entries: Sequence[Tuple[int, Event]]) -> None:
-        """Process one frame of entries, one event at a time."""
+    def feed(self, events: Sequence[Event]) -> None:
+        """Process one frame of events, one at a time."""
         engine = self._engine
         if engine is None:
             engine = self._build_engine()
         self._fed = True
         matches = self._matches
-        for _, event in entries:
+        for event in events:
             matches.extend(engine.process(event))
 
     def _build_engine(self):
@@ -218,8 +217,8 @@ class TaskRunner:
         return WorkerResult(matches=self._matches, metrics=metrics)
 
 
-def execute_task(task: WorkerTask, entries) -> WorkerResult:
-    """Run a whole task over an entry iterable (tests, simple callers)."""
+def execute_task(task: WorkerTask, events) -> WorkerResult:
+    """Run a whole task over an event iterable (tests, simple callers)."""
     runner = TaskRunner(task)
-    runner.feed(entries)
+    runner.feed(events)
     return runner.finish()

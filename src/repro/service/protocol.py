@@ -14,7 +14,7 @@ RESET        epoch, task params          —   (new run: fresh TaskRunner)
 SEED         epoch, events, now          —   (crash recovery: replay the
                                          acked window log through
                                          ``seed_from``)
-BATCH        epoch, batch id, entries    ACK with the batch id and the
+BATCH        epoch, batch id, events     ACK with the batch id and the
                                          matches kept since the last ack
 FINISH       epoch                       DONE with the WorkerResult
 STOP         —                           —   (worker exits)
@@ -159,10 +159,10 @@ class WorkerState:
                 self._runner.seed(events, now)
             return []
         if tag == MSG_BATCH:
-            epoch, batch_id, entries = message[1], message[2], message[3]
+            epoch, batch_id, events = message[1], message[2], message[3]
             if epoch != self._epoch or self._runner is None:
                 return []  # stale batch from an aborted run: drop, no ack
-            self._runner.feed(entries)
+            self._runner.feed(events)
             return [
                 (
                     self.worker_id,

@@ -391,16 +391,16 @@ class WorkerPool:
                     (MSG_RESET, self._epoch, self._params[worker_id]),
                 )
 
-    def submit(self, worker_id: int, entries: list) -> None:
+    def submit(self, worker_id: int, events: list) -> None:
         """Ship one batch; blocks (drains acks) at the in-flight cap."""
         with self._io_lock:
             if self._degraded:
                 self._maybe_repromote(worker_id)
             batch_id = self._next_batch[worker_id]
             self._next_batch[worker_id] = batch_id + 1
-            self._unacked[worker_id][batch_id] = entries
+            self._unacked[worker_id][batch_id] = events
             self._send(
-                worker_id, (MSG_BATCH, self._epoch, batch_id, entries)
+                worker_id, (MSG_BATCH, self._epoch, batch_id, events)
             )
             cap = self.config.max_inflight
             unacked = self._unacked[worker_id]
@@ -498,7 +498,7 @@ class WorkerPool:
         if not unacked:
             return None
         first = next(iter(unacked.values()))
-        return first[0][1].seq if first else None
+        return first[0].seq if first else None
 
     def last_acked_ts(self, worker_id: int) -> float:
         return self._acked_ts[worker_id]
@@ -588,11 +588,11 @@ class WorkerPool:
             epoch, batch_id, matches = payload
             if epoch != self._epoch:
                 return
-            entries = self._unacked[worker_id].pop(batch_id, None)
-            if entries is None:
+            events = self._unacked[worker_id].pop(batch_id, None)
+            if events is None:
                 return
-            if entries:
-                last_ts = entries[-1][1].timestamp
+            if events:
+                last_ts = events[-1].timestamp
                 if last_ts > self._acked_ts[worker_id]:
                     self._acked_ts[worker_id] = last_ts
             # A worker armed for re-promotion keeps its window log warm
@@ -602,11 +602,11 @@ class WorkerPool:
             # would silently lose the degraded period's engine state.
             if self._recovery_active or worker_id in self._degraded:
                 log = self._log[worker_id]
-                log.extend(entries)
+                log.extend(events)
                 cutoff = self._acked_ts[worker_id] - self.window
                 drop = 0
                 while (
-                    drop < len(log) and log[drop][1].timestamp < cutoff
+                    drop < len(log) and log[drop].timestamp < cutoff
                 ):
                     drop += 1
                 if drop:
@@ -874,7 +874,7 @@ class WorkerPool:
         channel.send((MSG_RESET, self._epoch, self._params[worker_id]))
         log = self._log[worker_id]
         if log or self._acked_ts[worker_id] != _NEG_INF:
-            events = [event for _, event in log]
+            events = list(log)
             channel.send(
                 (MSG_SEED, self._epoch, events, self._acked_ts[worker_id])
             )
@@ -893,8 +893,8 @@ class WorkerPool:
             )
             self._trace_event("worker_reseed", worker_id, detail)
         resent = 0
-        for batch_id, entries in self._unacked[worker_id].items():
-            channel.send((MSG_BATCH, self._epoch, batch_id, entries))
+        for batch_id, batch in self._unacked[worker_id].items():
+            channel.send((MSG_BATCH, self._epoch, batch_id, batch))
             resent += 1
         self.counters["send_retries"] += resent
         if self._finishing[worker_id]:
@@ -914,9 +914,9 @@ class _PoolFeeder:
         self._batch_size = batch_size
         self._buffers: List[list] = [[] for _ in range(pool.workers)]
 
-    def emit(self, worker_id: int, entry) -> None:
+    def emit(self, worker_id: int, event) -> None:
         buffer = self._buffers[worker_id]
-        buffer.append(entry)
+        buffer.append(event)
         if len(buffer) >= self._batch_size:
             self._pool.submit(worker_id, buffer)
             self._buffers[worker_id] = []
@@ -929,7 +929,7 @@ class _PoolFeeder:
 
     def first_buffered_seq(self, worker_id: int) -> Optional[int]:
         buffer = self._buffers[worker_id]
-        return buffer[0][1].seq if buffer else None
+        return buffer[0].seq if buffer else None
 
 
 def _close_pool(pool: WorkerPool) -> None:
@@ -1034,8 +1034,8 @@ class SessionStream:
     emitted once ``completion_seq < F`` with ``F`` the minimum over
     workers of:
 
-    * the first *outstanding* entry sequence (buffered unsent, or sent
-      and unacked) — any future fresh match completes on an entry the
+    * the first *outstanding* event sequence (buffered unsent, or sent
+      and unacked) — any future fresh match completes on an event the
       worker has yet to process, whose seq is at least that; and
     * when patterns can defer matches (trailing negation's pending
       matches), the first routed seq with ``ts >= last_acked_ts - W``:
@@ -1118,7 +1118,7 @@ class SessionStream:
             self.events_routed += 1
             if track:
                 self._note_routed(event)
-            self._feeder.emit(target, (0, event))
+            self._feeder.emit(target, event)
         if not self._started:
             return []
         self._feeder.flush()

@@ -362,9 +362,9 @@ class TestBackends:
         channel = ThreadChannel(worker_id=0)
         channel.send((MSG_INIT, EngineSpec.from_planned(planned)))
         channel.send((MSG_RESET, 1, {}))
-        channel.send((MSG_BATCH, 1, 0, [(0, event) for event in stream]))
+        channel.send((MSG_BATCH, 1, 0, list(stream)))
         # A stale-epoch batch must be dropped, not processed.
-        channel.send((MSG_BATCH, 0, 1, [(0, event) for event in stream]))
+        channel.send((MSG_BATCH, 0, 1, list(stream)))
         channel.stop()
         assert not channel._thread.is_alive()
 

@@ -98,9 +98,9 @@ class TestWorkerProtocol:
         stream = mixed_stream(3, count=60)
         state = self.runner_state(stream)
         state.handle((MSG_RESET, 2, {}))
-        entries = [(0, event) for event in stream]
-        assert state.handle((MSG_BATCH, 1, 0, entries)) == []  # stale
-        (reply,) = state.handle((MSG_BATCH, 2, 0, entries))
+        events = list(stream)
+        assert state.handle((MSG_BATCH, 1, 0, events)) == []  # stale
+        (reply,) = state.handle((MSG_BATCH, 2, 0, events))
         assert reply[1] == REPLY_ACK and reply[2][0] == 2
         (done,) = state.handle((MSG_FINISH, 2))
         assert done[1] == REPLY_DONE
@@ -121,12 +121,7 @@ class TestWorkerProtocol:
         collected = []
         for start in (0, 100):
             (ack,) = state.handle(
-                (
-                    MSG_BATCH,
-                    1,
-                    start,
-                    [(0, e) for e in events[start : start + 100]],
-                )
+                (MSG_BATCH, 1, start, events[start : start + 100])
             )
             collected.extend(ack[2][2])
         (done,) = state.handle((MSG_FINISH, 1))

@@ -453,7 +453,7 @@ def feed_in_frames(build, stream, batch_size: int, trace: bool = False):
     runner = TaskRunner(WorkerTask(spec=_Spec(build), trace=trace))
     events = list(stream)
     for start in range(0, len(events), batch_size):
-        runner.feed([(0, e) for e in events[start:start + batch_size]])
+        runner.feed(events[start:start + batch_size])
     return runner, runner.finish()
 
 

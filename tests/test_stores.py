@@ -81,6 +81,20 @@ class TestEqualityKeyPairs:
         assert ev_key(ev("C", 3.0, 3, x=9)) == (9,)
         assert make_key_fn(()) is None and make_event_key_fn(()) is None
 
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_key_fns_of_every_width_agree_with_the_spec(self, width):
+        spec = (("a", "x"), ("b", "y"), ("a", "z"))[:width]
+        a = ev("A", 1.0, 1, x=1, z=3)
+        b = ev("B", 2.0, 2, y=2)
+        bindings = {"a": a, "b": b}
+        assert make_key_fn(spec)(bindings) == tuple(
+            bindings[v][attr] for v, attr in spec
+        )
+        event = ev("C", 3.0, 3, x=1, y=2, z=3)
+        assert make_event_key_fn(spec)(event) == (1, 2, 3)[:width]
+        with pytest.raises(KeyError):
+            make_key_fn(spec)({"a": ev("A", 0.0, 0), "b": b})
+
 
 class TestPartialMatchStore:
     def make(self, metrics=None):
@@ -569,3 +583,249 @@ class TestBucketSweep:
         self.fill(store, 20)
         store.purge_seqs(frozenset(range(10)))
         assert self.bucket(store, index, (0,)).dead == 10
+
+
+class TestStoreModel:
+    """Randomized store operations checked step by step against a
+    plain-list model: every candidate list (content and order) and
+    ``len()`` must match, through expiry, discards, purges, bucket
+    sweeps and compactions."""
+
+    NAN = float("nan")
+
+    def make(self):
+        from repro.engines.stores import make_value_fn
+
+        store = PartialMatchStore(EngineMetrics())
+        key_of = make_key_fn((("a", "k"),))
+        value_of = make_value_fn(("a", "v"))
+        handles = {
+            "hash": store.add_index(key_of),
+            "hash_range": store.add_index(key_of, value_of=value_of, op="<"),
+            "range": store.add_index(None, value_of=value_of, op=">="),
+        }
+        return store, handles
+
+    def random_event(self, rng, seq, ts):
+        attrs = {}
+        k = rng.choice((0, 1, 2, 3, "nan", "list", "missing"))
+        if k == "nan":
+            attrs["k"] = self.NAN if rng.random() < 0.5 else float("nan")
+        elif k == "list":
+            attrs["k"] = [1]  # unhashable: overflow
+        elif k != "missing":
+            attrs["k"] = k
+        v = rng.choice(("num", "num", "num", "nan", "missing"))
+        if v == "num":
+            attrs["v"] = float(rng.randrange(6))
+        elif v == "nan":
+            attrs["v"] = float("nan")
+        return ev("A", ts, seq, **attrs)
+
+    @staticmethod
+    def key_matches(stored, probe) -> bool:
+        """Dict-lookup semantics: identity first, then equality."""
+        return stored is probe or stored == probe
+
+    def expected_probe(self, model, handle, key, trigger_seq, bound):
+        from repro.engines.stores import NO_BOUND
+
+        live = [
+            pm for pm, alive in model if alive and pm.trigger_seq < trigger_seq
+        ]
+        if handle == "range":
+            keyed = live
+        else:
+            try:
+                hash(key)
+            except TypeError:  # unhashable probe key: plain scan
+                return live
+            keyed = []
+            for pm in live:
+                attrs = pm.bindings["a"]
+                if "k" not in attrs:
+                    continue  # unreachable through the index
+                stored = attrs["k"]
+                try:
+                    hash(stored)
+                except TypeError:
+                    keyed.append(pm)  # overflow: visible to every probe
+                    continue
+                if self.key_matches(stored, key[0]):
+                    keyed.append(pm)
+        if handle == "hash" or bound is NO_BOUND:
+            return keyed
+        op = "<" if handle == "hash_range" else ">="
+        out = []
+        for pm in keyed:
+            attrs = pm.bindings["a"]
+            if handle == "hash_range" and isinstance(attrs.get("k"), list):
+                out.append(pm)  # overflow stays a conservative candidate
+                continue
+            value = attrs.get("v")
+            if value is None or value != value:
+                continue
+            if (value < bound) if op == "<" else (value >= bound):
+                out.append(pm)
+        return out
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_operations_match_list_model(self, seed):
+        import random
+
+        from repro.engines.stores import NO_BOUND
+
+        rng = random.Random(seed)
+        store, handles = self.make()
+        model = []  # [pm, alive] in insertion order
+        seq, clock, cutoff = 0, 0.0, float("-inf")
+        compactions = 0
+        for _ in range(900):
+            before = len(store._pms)
+            op = rng.choices(
+                ("insert", "expire", "discard", "purge", "probe", "before"),
+                (10, 2, 2, 1, 4, 1),
+            )[0]
+            if op == "insert":
+                clock += rng.uniform(0.0, 1.0)
+                # min_ts jitters below the clock, so the expiry run's
+                # order differs from insertion order.
+                event = self.random_event(rng, seq, clock - rng.uniform(0, 3))
+                pm = pm_of("a", event)
+                store.insert(pm)
+                model.append([pm, True])
+                seq += 1
+            elif op == "expire":
+                cutoff = max(cutoff, clock - rng.uniform(2.0, 12.0))
+                died = sum(
+                    1 for entry in model if entry[1] and entry[0].min_ts < cutoff
+                )
+                for entry in model:
+                    if entry[0].min_ts < cutoff:
+                        entry[1] = False
+                assert store.expire(cutoff) == died
+            elif op == "discard" and model:
+                entry = rng.choice(model)
+                entry[1] = False
+                store.discard(entry[0])
+            elif op == "purge" and seq:
+                seqs = frozenset(rng.sample(range(seq), k=min(seq, 5)))
+                died = 0
+                for entry in model:
+                    if entry[1] and entry[0].trigger_seq in seqs:
+                        entry[1] = False
+                        died += 1
+                assert store.purge_seqs(seqs) == died
+            elif op == "probe":
+                name = rng.choice(sorted(handles))
+                if name == "range":
+                    key = ()
+                else:
+                    key = (rng.choice((0, 1, 2, 3, 9, self.NAN, [1])),)
+                trigger_seq = rng.randrange(seq + 2)
+                bound = rng.choice((NO_BOUND, 0.0, 2.5, 3.0, 6.0))
+                got = list(
+                    store.probe(handles[name], key, trigger_seq, bound)
+                )
+                assert got == self.expected_probe(
+                    model, name, key, trigger_seq, bound
+                ), (name, key, trigger_seq, bound)
+            elif op == "before":
+                trigger_seq = rng.randrange(seq + 2)
+                assert list(store.iter_before(trigger_seq)) == [
+                    pm for pm, alive in model
+                    if alive and pm.trigger_seq < trigger_seq
+                ]
+            live = [pm for pm, alive in model if alive]
+            assert len(store) == len(live)
+            assert list(store) == live
+            compactions += len(store._pms) < before
+        assert compactions, "the run never compacted"
+
+    def test_unique_keys_do_not_leak(self):
+        # Store twin of the buffer regression: with a unique key per
+        # entry under window expiry, buckets and runs stay O(live).
+        from repro.engines.stores import make_value_fn
+
+        store = PartialMatchStore()
+        store.add_index(make_key_fn((("a", "x"),)))
+        store.add_index(
+            make_key_fn((("a", "x"),)),
+            value_of=make_value_fn(("a", "x")),
+            op="<",
+        )
+        for i in range(5000):
+            store.insert(pm_of("a", ev("A", float(i), i, x=i)))
+            store.expire(float(i) - 10.0)
+        assert len(store) == 11
+        assert len(store._pms) < 200 and len(store._exp_pms) < 200
+        for index in store._indexes:
+            assert len(index.buckets) < 200
+            assert sum(len(b.pms) for b in index.buckets.values()) < 200
+
+    def test_an_entry_belongs_to_one_store(self):
+        first, second = PartialMatchStore(), PartialMatchStore()
+        pm = pm_of("a", ev("A", 0.0, 0, x=1))
+        first.insert(pm)
+        with pytest.raises(ValueError):
+            second.insert(pm)
+        first.discard(pm)
+        with pytest.raises(ValueError):
+            second.insert(pm)  # a dead entry is not reusable either
+
+
+class TestStoreCycles:
+    """Store entries hold keys, never store structures: with the cyclic
+    collector off, deleting an engine must leave the same garbage
+    whatever the stream length — no entry↔bucket reference cycles that
+    grow with the data."""
+
+    @staticmethod
+    def keyed_stream(count: int, seed: int):
+        import random
+
+        from repro.events import Stream
+
+        rng = random.Random(seed)
+        events, t = [], 0.0
+        for _ in range(count):
+            t += rng.expovariate(50.0)
+            name = rng.choices("ABC", (0.27, 0.33, 0.40))[0]
+            events.append(
+                Event(name, t, {"k": rng.randrange(50), "v": rng.random()})
+            )
+        return Stream(events)
+
+    @pytest.mark.parametrize("runtime", ["nfa", "dag"])
+    def test_garbage_does_not_grow_with_the_stream(self, runtime):
+        import dataclasses
+        import gc
+
+        from repro import estimate_pattern_catalog, parse_pattern, plan_pattern
+        from repro.engines import build_engines
+        from repro.plans import TreePlan
+
+        pattern = parse_pattern(
+            "PATTERN SEQ(A a, B b, C c) WHERE a.k = b.k AND b.k = c.k "
+            "WITHIN 4"
+        )
+        catalog = estimate_pattern_catalog(pattern, self.keyed_stream(1000, 0))
+        planned = plan_pattern(pattern, catalog, algorithm="TRIVIAL")
+        if runtime == "dag":
+            planned = [
+                dataclasses.replace(item, plan=TreePlan.left_deep(item.plan))
+                for item in planned
+            ]
+        counts = []
+        for count in (1000, 4000):
+            stream = self.keyed_stream(count, 1)
+            gc.collect()
+            gc.disable()
+            try:
+                engine = build_engines(planned)
+                assert engine.run(stream)
+                del engine
+                counts.append(gc.collect())
+            finally:
+                gc.enable()
+        assert counts[0] == counts[1], counts
